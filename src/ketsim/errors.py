@@ -1,4 +1,9 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the rule for conditioning on an outcome."""
+
+import math
+
+# Born weight at or below which an outcome counts as impossible.
+PROB_FLOOR = 1e-12
 
 
 class ImpossibleOutcomeError(ValueError):
@@ -8,3 +13,15 @@ class ImpossibleOutcomeError(ValueError):
 
 class ParameterError(ValueError):
     """Raised for invalid scenario parameters or CLI parameter overrides."""
+
+
+def conditioning_scale(weight: float, outcome: str, floor: float = PROB_FLOOR) -> float:
+    """Factor 1/sqrt(weight) that renormalizes the unnormalized image of an outcome.
+
+    Every projection, post-selection, partial readout, pointer collapse and
+    window cut conditions through here: an outcome whose Born weight is at
+    or below the floor raises ImpossibleOutcomeError naming the outcome.
+    """
+    if weight <= floor:
+        raise ImpossibleOutcomeError(f"{outcome} has Born weight {weight:g}; cannot condition on it")
+    return 1.0 / math.sqrt(weight)

@@ -350,12 +350,7 @@ def recombine_probability(
     already sitting on the source label re-splits into the arms and
     contributes nothing to the source port.
     """
-    reg = state.register
-    si = reg.index(subsystem)
-    i1 = reg.label_index(subsystem, pair[0])
-    i2 = reg.label_index(subsystem, pair[1])
-    isrc = reg.label_index(subsystem, source_label)
-    if len({i1, i2, isrc}) != 3:
-        raise ValueError("source label and arm pair must be three distinct labels")
     after = apply_split(state, subsystem, source_label, pair)
+    si = state.register.index(subsystem)
+    isrc = state.register.label_index(subsystem, source_label)
     return float(sum(abs(a) ** 2 for k, a in after.amplitudes.items() if k[si] == isrc))

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, ParameterError
+from .errors import ImpossibleOutcomeError, ParameterError, conditioning_scale
 
 NORM_TOL = 1e-9
 CONTAINMENT_RATIO = 1e-6
@@ -132,10 +132,6 @@ class DickeParams:
     def n2(self) -> float:
         return (math.pi * self.ell * self.ell) ** -0.25
 
-    @property
-    def nf(self) -> float:
-        return self.n2
-
 
 def dicke_domain(params: DickeParams) -> tuple[float, float]:
     """Default domain: 8 wide-packet widths beyond both centers."""
@@ -202,11 +198,8 @@ def window_project(
     mask = inside if keep_inside else ~inside
     kept = np.where(mask, wf.amplitudes, 0.0j)
     prob = float(np.sum(np.abs(kept) ** 2) * wf.dx)
-    if prob <= 1e-12:
-        raise ImpossibleOutcomeError(
-            f"window projection has probability {prob:g}; no support on the kept region"
-        )
-    post = GridWavefunction(wf.n, wf.x_min, wf.x_max, kept / math.sqrt(prob))
+    scale = conditioning_scale(prob, "window projection")
+    post = GridWavefunction(wf.n, wf.x_min, wf.x_max, kept * scale)
     return prob, post
 
 

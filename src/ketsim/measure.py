@@ -14,11 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, ParameterError
+from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
 from .grid import GridWavefunction, contained, gaussian_packet, translate
 from .register import NORM_TOL, Register, StateVector, matches, prune
-
-PROB_FLOOR = 1e-12
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -88,12 +86,8 @@ def _conditioned(
         k: a for k, a in state.amplitudes.items() if matches(k, items) == keep_matching
     }
     prob = float(sum(abs(a) ** 2 for a in kept.values()))
-    if prob <= PROB_FLOOR:
-        word = "" if keep_matching else "complement of "
-        raise ImpossibleOutcomeError(
-            f"{word}{dict(assignments)} has probability {prob:g}; cannot condition on it"
-        )
-    scale = 1.0 / math.sqrt(prob)
+    word = "" if keep_matching else "complement of "
+    scale = conditioning_scale(prob, f"{word}{dict(assignments)}")
     post = StateVector(state.register, {k: a * scale for k, a in kept.items()})
     return prob, post
 
@@ -155,10 +149,10 @@ def _strength_eps(strength) -> float:
     return PartialStrength(float(strength)).eps
 
 
-def _partial_images(
-    state: StateVector, subsystem: str, monitored_label: str, eps: float
-) -> tuple[float, dict, float, dict]:
-    """(p_click, click image, p_noclick, no-click image), images unnormalized.
+def _partial_image(
+    state: StateVector, subsystem: str, monitored_label: str, eps: float, outcome: str
+) -> dict:
+    """Unnormalized image of one partial-readout outcome.
 
     Click operator: sqrt(eps) * P_monitored. No-click operator:
     P_rest + sqrt(1-eps) * P_monitored. Their squares sum to the identity.
@@ -166,37 +160,23 @@ def _partial_images(
     reg = state.register
     si = reg.index(subsystem)
     mi = reg.label_index(subsystem, monitored_label)
-    s_click = math.sqrt(eps)
-    s_pass = math.sqrt(1.0 - eps)
-    click: dict = {}
-    noclick: dict = {}
-    for k, a in state.amplitudes.items():
-        if k[si] == mi:
-            click[k] = s_click * a
-            noclick[k] = s_pass * a
-        else:
-            noclick[k] = a
-    p_click = sum(abs(a) ** 2 for a in click.values())
-    p_noclick = sum(abs(a) ** 2 for a in noclick.values())
-    return p_click, prune(click), p_noclick, prune(noclick)
+    if outcome == "click":
+        s = math.sqrt(eps)
+        return {k: s * a for k, a in state.amplitudes.items() if k[si] == mi}
+    if outcome == "no-click":
+        s = math.sqrt(1.0 - eps)
+        return {k: s * a if k[si] == mi else a for k, a in state.amplitudes.items()}
+    raise ParameterError(f"outcome must be 'click' or 'no-click', got {outcome!r}")
 
 
 def apply_partial_outcome(
     state: StateVector, subsystem: str, monitored_label: str, strength, outcome: str
 ) -> MeasurementRecord:
     """Deterministically apply one partial-readout outcome ('click'/'no-click')."""
-    eps = _strength_eps(strength)
-    p_click, click, p_noclick, noclick = _partial_images(state, subsystem, monitored_label, eps)
-    if outcome == "click":
-        p, image = p_click, click
-    elif outcome == "no-click":
-        p, image = p_noclick, noclick
-    else:
-        raise ParameterError(f"outcome must be 'click' or 'no-click', got {outcome!r}")
-    if p <= PROB_FLOOR:
-        raise ImpossibleOutcomeError(f"partial outcome {outcome!r} has probability {p:g}")
-    scale = 1.0 / math.sqrt(p)
-    post = StateVector(state.register, {k: a * scale for k, a in image.items()})
+    image = _partial_image(state, subsystem, monitored_label, _strength_eps(strength), outcome)
+    p = sum(abs(a) ** 2 for a in image.values())
+    scale = conditioning_scale(p, f"partial outcome {outcome!r}")
+    post = StateVector(state.register, {k: a * scale for k, a in prune(image).items()})
     return MeasurementRecord({subsystem: outcome}, p, post)
 
 
@@ -211,7 +191,8 @@ def partial_measure(
     """
     eps = _strength_eps(strength)
     rng = as_generator(seed)
-    p_click, _, _, _ = _partial_images(state, subsystem, monitored_label, eps)
+    click = _partial_image(state, subsystem, monitored_label, eps, "click")
+    p_click = sum(abs(a) ** 2 for a in click.values())
     outcome = "click" if rng.random() < p_click else "no-click"
     return apply_partial_outcome(state, subsystem, monitored_label, eps, outcome)
 
@@ -357,8 +338,9 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     reading = float(xs[j])
     amps = {k: complex(stack[i, j]) for i, k in enumerate(keys)}
     amps = prune(amps)
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    if norm <= 1e-150:
-        raise ImpossibleOutcomeError("sampled a zero-weight pointer position")
-    post = StateVector(joint.register, {k: a / norm for k, a in amps.items()})
+    weight = sum(abs(a) ** 2 for a in amps.values())
+    # The position was drawn from the density, so its weight is positive;
+    # this floor only rejects a sample whose amplitudes underflow to zero.
+    scale = conditioning_scale(weight, f"pointer reading {reading!r}", floor=1e-300)
+    post = StateVector(joint.register, {k: a * scale for k, a in amps.items()})
     return reading, post

@@ -19,6 +19,10 @@ import numpy as np
 from ..errors import ImpossibleOutcomeError, ParameterError
 from ..report import ScenarioReport
 
+_S = 1.0 / math.sqrt(2.0)
+# Two-level Hadamard matrix, the basis change the catalog's interferometers share.
+HADAMARD = ((_S, _S), (_S, -_S))
+
 
 @dataclass(frozen=True)
 class ParamSpec:

@@ -17,15 +17,13 @@ from ..evolve import apply_basis_change, apply_split, controlled_relabel, recomb
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
 from ..register import amplitude, fidelity, new_register, superpose
 from ..report import Check, make_step
-from . import Scenario, guard
+from . import HADAMARD, Scenario, guard
 
 _SQRT5 = math.sqrt(5.0)
 # Spectrum of the three-branch reduced state; its entropy in bits.
 LAMBDA_MAJOR = (3.0 + _SQRT5) / 6.0
 LAMBDA_MINOR = (3.0 - _SQRT5) / 6.0
 THREE_BRANCH_ENTROPY = -(LAMBDA_MAJOR * math.log2(LAMBDA_MAJOR) + LAMBDA_MINOR * math.log2(LAMBDA_MINOR))
-
-_H = ((1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)), (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)))
 
 
 def _pair_register():
@@ -40,33 +38,28 @@ def _pair_register():
     )
 
 
+def _annihilation_window(state, electron_arm, pair, det):
+    """The electron arm meets positron arm3: the pair annihilates into photon
+    label `pair`, and detector `det` clicks on it."""
+    state = controlled_relabel(
+        state,
+        {},
+        [
+            (
+                {"electron": electron_arm, "positron": "arm3", "photons": "none"},
+                {"electron": "ann", "positron": "ann", "photons": pair},
+            )
+        ],
+    )
+    return controlled_relabel(state, {"photons": pair}, [({det: "ready"}, {det: "click"})])
+
+
 def _qo_unitaries(state):
     """The full interaction pipeline with no measurements in between."""
     state = apply_split(state, "electron", "src", ("arm1", "arm2"))
     state = apply_split(state, "positron", "src", ("arm3", "arm4"))
-    state = controlled_relabel(
-        state,
-        {},
-        [
-            (
-                {"electron": "arm2", "positron": "arm3", "photons": "none"},
-                {"electron": "ann", "positron": "ann", "photons": "pair_t1"},
-            )
-        ],
-    )
-    state = controlled_relabel(state, {"photons": "pair_t1"}, [({"det1": "ready"}, {"det1": "click"})])
-    state = controlled_relabel(
-        state,
-        {},
-        [
-            (
-                {"electron": "arm1", "positron": "arm3", "photons": "none"},
-                {"electron": "ann", "positron": "ann", "photons": "pair_t2"},
-            )
-        ],
-    )
-    state = controlled_relabel(state, {"photons": "pair_t2"}, [({"det2": "ready"}, {"det2": "click"})])
-    return state
+    state = _annihilation_window(state, "arm2", "pair_t1", "det1")
+    return _annihilation_window(state, "arm1", "pair_t2", "det2")
 
 
 def _run_qo_core(params, rng):
@@ -96,18 +89,7 @@ def _run_qo_core(params, rng):
         )
     )
 
-    # First annihilation window: electron arm2 meets positron arm3.
-    state = controlled_relabel(
-        state,
-        {},
-        [
-            (
-                {"electron": "arm2", "positron": "arm3", "photons": "none"},
-                {"electron": "ann", "positron": "ann", "photons": "pair_t1"},
-            )
-        ],
-    )
-    state = controlled_relabel(state, {"photons": "pair_t1"}, [({"det1": "ready"}, {"det1": "click"})])
+    state = _annihilation_window(state, "arm2", "pair_t1", "det1")
     det1_dist = born_probabilities(state, "det1")
     checks.append(Check("p_click_t1", "abs", 0.25, det1_dist.get("click", 0.0), 1e-12, "joint-Born oracle"))
     steps.append(make_step("first annihilation window", state, distribution=("det1", det1_dist)))
@@ -139,18 +121,7 @@ def _run_qo_core(params, rng):
         )
     )
 
-    # Second window: electron arm1 meets positron arm3.
-    state = controlled_relabel(
-        state,
-        {},
-        [
-            (
-                {"electron": "arm1", "positron": "arm3", "photons": "none"},
-                {"electron": "ann", "positron": "ann", "photons": "pair_t2"},
-            )
-        ],
-    )
-    state = controlled_relabel(state, {"photons": "pair_t2"}, [({"det2": "ready"}, {"det2": "click"})])
+    state = _annihilation_window(state, "arm1", "pair_t2", "det2")
     det2_dist = born_probabilities(state, "det2")
     checks.append(
         Check("p_click_t2", "abs", 1.0 / 3.0, det2_dist.get("click", 0.0), 1e-12, "joint-Born oracle")
@@ -342,7 +313,7 @@ def _run_ghostly_mirror(params, rng):
     steps = [make_step("preparation", state)]
     checks = []
 
-    state = apply_basis_change(state, "spin", _H, ("z_up", "z_down"), out_pair=("x_plus", "x_minus"))
+    state = apply_basis_change(state, "spin", HADAMARD, ("z_up", "z_down"), out_pair=("x_plus", "x_minus"))
     golden_diag = superpose(
         reg,
         [
@@ -375,7 +346,7 @@ def _run_ghostly_mirror(params, rng):
     )
     steps.append(make_step("scattering exclusion", state, events={"p_no_scatter": rec.probability}))
 
-    state = apply_basis_change(state, "spin", _H, ("z_up", "z_down"), out_pair=("x_plus", "x_minus"))
+    state = apply_basis_change(state, "spin", HADAMARD, ("z_up", "z_down"), out_pair=("x_plus", "x_minus"))
     for assignment, expected, label in (
         ({"spin": "z_up", "photon": "left"}, s6, "amp_up_left"),
         ({"spin": "z_up", "photon": "right"}, 2.0 * s6, "amp_up_right"),

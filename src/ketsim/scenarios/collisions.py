@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from ..entangle import cut_entropy, schmidt
+from ..entangle import cut_entropy, entropy, schmidt
 from ..evolve import OpLog, apply_split, controlled_relabel, recombine_probability, time_reverse
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
 from ..register import fidelity, new_register, superpose
@@ -27,10 +27,6 @@ _SQRT5 = math.sqrt(5.0)
 POST_T1_SPECTRUM = ((3.0 + _SQRT5) / 8.0, 0.25, (3.0 - _SQRT5) / 8.0)
 # A1-cut spectrum once both crossings are done.
 FINAL_SPECTRUM = (0.75, 0.25)
-
-
-def _bits(spectrum) -> float:
-    return -sum(p * math.log2(p) for p in spectrum if p > 0.0)
 
 
 def _atom_register(with_pointers: bool):
@@ -89,7 +85,7 @@ def _run_atom_collision(params, rng):
     state = _first_crossing(state)
     s_t1 = cut_entropy(state, ("atom1",))
     checks.append(
-        Check("entropy_after_t1", "abs", _bits(POST_T1_SPECTRUM), s_t1, 1e-9, "by-hand Gram eigenvalue oracle")
+        Check("entropy_after_t1", "abs", entropy(POST_T1_SPECTRUM), s_t1, 1e-9, "by-hand Gram eigenvalue oracle")
     )
     steps.append(make_step("first crossing", state, entropies={"atom1|atom2": s_t1}))
 
@@ -129,7 +125,7 @@ def _run_atom_collision(params, rng):
     checks.append(Check("schmidt_major", "abs", FINAL_SPECTRUM[0], spectrum.coefficients[0], 1e-12, "dense-SVD oracle"))
     checks.append(Check("schmidt_minor", "abs", FINAL_SPECTRUM[1], spectrum.coefficients[1], 1e-12, "dense-SVD oracle"))
     checks.append(
-        Check("entropy_final", "abs", _bits(FINAL_SPECTRUM), s_final, 1e-12, "by-hand Gram eigenvalue oracle")
+        Check("entropy_final", "abs", entropy(FINAL_SPECTRUM), s_final, 1e-12, "by-hand Gram eigenvalue oracle")
     )
     with guard("atom_collision", "conditioning on first deflection"):
         cond_3d = project(state, "atom2", "arm3d").post_state
@@ -200,7 +196,7 @@ def _run_oblivion_with_pointers(params, rng):
         "ptr1|rest": cut_entropy(state, ("ptr1",)),
         "ptr2|rest": cut_entropy(state, ("ptr2",)),
     }
-    two_state_bits = _bits(FINAL_SPECTRUM)
+    two_state_bits = entropy(FINAL_SPECTRUM)
     checks.append(Check("entropy_atom1", "abs", two_state_bits, entropies["atom1|rest"], 1e-12,
                         "by-hand Gram eigenvalue oracle"))
     checks.append(Check("entropy_atom2", "abs", 1.5, entropies["atom2|rest"], 1e-12,

@@ -19,25 +19,19 @@ from ..evolve import apply_basis_change, apply_split, controlled_phase, controll
 from ..measure import born_probabilities, project
 from ..register import new_register, superpose
 from ..report import Check, make_step
-from . import ParamSpec, Scenario, guard
-
-_S = 1.0 / math.sqrt(2.0)
-_H2 = ((_S, _S), (_S, -_S))
+from . import HADAMARD, ParamSpec, Scenario, guard
 
 
-def _erasure_point(reg, phi: float):
-    """One interferometer pass; returns (marked bright-port probability,
-    erased-outcome probability, bright-port probability given erasure)."""
-    state = superpose(reg, [(1.0, {"photon": "src", "marker": "plain"})])
-    state = apply_split(state, "photon", "src", ("path_a", "path_b"))
+def _erasure_pass(reg, phi: float):
+    """One interferometer pass at phase phi: the staged, marked and recombined
+    states, and the record of reading the marker as 'plain' in its diagonal basis."""
+    staged = superpose(reg, [(1.0, {"photon": "src", "marker": "plain"})])
+    state = apply_split(staged, "photon", "src", ("path_a", "path_b"))
     state = controlled_relabel(state, {"photon": "path_a"}, [({"marker": "plain"}, {"marker": "tag"})])
-    state = controlled_phase(state, {"photon": "path_a"}, phi)
-    state = apply_split(state, "photon", "src", ("path_a", "path_b"))
-    p_marked = born_probabilities(state, "photon").get("src", 0.0)
-    erased = apply_basis_change(state, "marker", _H2, ("plain", "tag"))
-    rec = project(erased, "marker", "plain")
-    p_erased = born_probabilities(rec.post_state, "photon").get("src", 0.0)
-    return p_marked, rec.probability, p_erased, rec.post_state
+    marked = controlled_phase(state, {"photon": "path_a"}, phi)
+    recombined = apply_split(marked, "photon", "src", ("path_a", "path_b"))
+    erased = apply_basis_change(recombined, "marker", HADAMARD, ("plain", "tag"))
+    return staged, marked, recombined, project(erased, "marker", "plain")
 
 
 def _visibility(values) -> float:
@@ -56,7 +50,9 @@ def _run_quantum_erasure(params, rng):
     width = len(str(points - 1))
     for k in range(points):
         phi = 2.0 * math.pi * k / points
-        p_marked, p_outcome, p_erased, _post = _erasure_point(reg, phi)
+        _staged, _marked, recombined, rec = _erasure_pass(reg, phi)
+        p_marked = born_probabilities(recombined, "photon").get("src", 0.0)
+        p_erased = born_probabilities(rec.post_state, "photon").get("src", 0.0)
         marked.append(p_marked)
         erased.append(p_erased)
         tag = str(k).zfill(width)
@@ -75,21 +71,15 @@ def _run_quantum_erasure(params, rng):
     checks.append(Check("visibility_erased", "ge", 0.99, v_erased, 0.0, "interference closed form"))
 
     # Representative pass at a quarter-period phase for the timeline record.
-    phi_demo = math.pi / 2.0
-    state = superpose(reg, [(1.0, {"photon": "src", "marker": "plain"})])
-    steps = [make_step("photon staged", state)]
-    state = apply_split(state, "photon", "src", ("path_a", "path_b"))
-    state = controlled_relabel(state, {"photon": "path_a"}, [({"marker": "plain"}, {"marker": "tag"})])
-    state = controlled_phase(state, {"photon": "path_a"}, phi_demo)
-    steps.append(
-        make_step("marked arms", state, entropies={"marker|photon": cut_entropy(state, ("marker",))})
-    )
-    state = apply_split(state, "photon", "src", ("path_a", "path_b"))
-    steps.append(make_step("recombined, marker unread", state,
-                           distribution=("photon", born_probabilities(state, "photon"))))
-    erased_state = apply_basis_change(state, "marker", _H2, ("plain", "tag"))
     with guard("quantum_erasure", "diagonal marker readout"):
-        rec = project(erased_state, "marker", "plain")
+        staged, marked_arms, recombined, rec = _erasure_pass(reg, math.pi / 2.0)
+    steps = [
+        make_step("photon staged", staged),
+        make_step("marked arms", marked_arms,
+                  entropies={"marker|photon": cut_entropy(marked_arms, ("marker",))}),
+        make_step("recombined, marker unread", recombined,
+                  distribution=("photon", born_probabilities(recombined, "photon"))),
+    ]
     checks.append(
         Check("p_erase_outcome", "abs", 0.5, rec.probability, 1e-10, "joint-Born oracle")
     )

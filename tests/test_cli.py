@@ -73,6 +73,19 @@ def test_failed_check_still_reports(capsys):
     assert flags["blocking_inference"] is False
 
 
+def test_product_found_branch_reports_regime_limit(capsys):
+    # This many cycles leaves the found branch an exact product state (a
+    # one-term Schmidt spectrum); only the entanglement threshold may fail.
+    rc, out, _ = run_cli(
+        capsys, "run", "zeno_ghost_entanglement", "--param", "alpha=0.70773", "--param", "cycles=130"
+    )
+    assert rc == 1
+    doc = json.loads(out)
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["notfound_entangled"]
+    found = {s["label"]: s for s in doc["steps"]}["found in the middle"]
+    assert found["events"]["schmidt_second"] == 0.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

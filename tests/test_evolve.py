@@ -273,3 +273,11 @@ def test_recombine_probability_does_not_mutate():
     before = dict(state.amplitudes)
     recombine_probability(state, "p", ("l1", "l2"), "src")
     assert state.amplitudes == before
+
+
+@pytest.mark.parametrize("pair, source", [(("l1", "l1"), "src"), (("src", "l2"), "src")])
+def test_recombine_probability_rejects_repeated_labels(pair, source):
+    reg = path_register()
+    state = superpose(reg, [(1.0, {"p": "l1", "spin": "up"})])
+    with pytest.raises(ValueError, match="three distinct labels"):
+        recombine_probability(state, "p", pair, source)
