@@ -52,6 +52,7 @@ from .measure import (
     joint_probability,
     make_pointer,
     partial_measure,
+    pointer_readings,
     postselect,
     postselect_out,
     project,
@@ -112,6 +113,7 @@ __all__ = [
     "overlap",
     "partial_measure",
     "partial_trace",
+    "pointer_readings",
     "postselect",
     "postselect_out",
     "project",

@@ -152,7 +152,9 @@ def entropy(arg) -> float:
         if lam < EIG_FLOOR:
             continue
         acc -= lam * math.log2(lam)
-    return acc
+    # A pure state's lone weight can round to just above 1, and its term to
+    # a tiny negative; entropy is non-negative, so that dust reads as 0.
+    return acc if acc > 0.0 else 0.0
 
 
 def is_product(

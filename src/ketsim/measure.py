@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -282,6 +283,26 @@ class WeakJointState:
             sum(np.sum(np.abs(arr) ** 2) for arr in self.pointers.values()) * self.dx
         )
 
+    @cached_property
+    def _sampler(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, stacked pointer rows, position cdf, position grid), built once.
+
+        The cdf is normalized the way Generator.choice(p=...) normalizes it, so
+        a searchsorted draw of one uniform picks the index choice would pick.
+        A zero-weight joint raises here on every access: a cached_property
+        caches only a returned value.
+        """
+        keys = list(self.pointers)
+        stack = np.stack([self.pointers[k] for k in keys])
+        density = np.sum(np.abs(stack) ** 2, axis=0) * self.dx
+        total = float(density.sum())
+        if total <= PROB_FLOOR:
+            raise ImpossibleOutcomeError("joint state has no weight to sample")
+        cdf = (density / total).cumsum()
+        cdf /= cdf[-1]
+        xs = self.x_min + self.dx * np.arange(self.n)
+        return keys, stack, cdf, xs
+
 
 def weak_measure(
     state: StateVector,
@@ -326,15 +347,9 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     pointer barely disturbs the system; ensemble means of readings divided by
     g recover the observable's expectation value.
     """
+    keys, stack, cdf, xs = joint._sampler
     rng = as_generator(seed)
-    keys = list(joint.pointers)
-    stack = np.stack([joint.pointers[k] for k in keys])
-    density = np.sum(np.abs(stack) ** 2, axis=0) * joint.dx
-    total = float(density.sum())
-    if total <= PROB_FLOOR:
-        raise ImpossibleOutcomeError("joint state has no weight to sample")
-    j = int(rng.choice(joint.n, p=density / total))
-    xs = joint.x_min + joint.dx * np.arange(joint.n)
+    j = int(cdf.searchsorted(rng.random(), side="right"))
     reading = float(xs[j])
     amps = {k: complex(stack[i, j]) for i, k in enumerate(keys)}
     amps = prune(amps)
@@ -344,3 +359,14 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     scale = conditioning_scale(weight, f"pointer reading {reading!r}", floor=1e-300)
     post = StateVector(joint.register, {k: a * scale for k, a in amps.items()})
     return reading, post
+
+
+def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
+    """Draw `shots` pointer positions at once, without collapsing the system.
+
+    Consumes the generator exactly as `shots` successive read_pointer calls
+    do and returns the same readings; use it when only the readings matter.
+    """
+    _keys, _stack, cdf, xs = joint._sampler
+    rng = as_generator(seed)
+    return xs[cdf.searchsorted(rng.random(shots), side="right")]

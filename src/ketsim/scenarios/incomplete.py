@@ -20,6 +20,7 @@ from ..measure import (
     born_probabilities,
     erase_partial,
     make_pointer,
+    pointer_readings,
     read_pointer,
     weak_measure,
 )
@@ -156,14 +157,20 @@ def _run_weak_ensemble(params, rng):
 
     def grid_for(width: float) -> WeakParams:
         half = 10.0 * width + 5.0 * g
-        return WeakParams(g=g, sigma=width, n=4096, x_min=-half, x_max=half)
+        # Double the grid until it holds 8 points per width; past 2**20
+        # points WeakParams itself rejects the width (ParameterError).
+        n = 4096
+        while 2.0 * half / n > width / 8.0 and n < 2**20:
+            n *= 2
+        return WeakParams(g=g, sigma=width, n=n, x_min=-half, x_max=half)
 
     # Ensemble statistics with a symmetric +-1 observable: mean reading 0.
     wp = grid_for(sigma)
     joint = weak_measure(state, make_pointer(wp), "spin", {"up": 1.0, "down": -1.0}, wp)
     total = 0.0
-    for _ in range(n_shots):
-        reading, _post = read_pointer(joint, rng)
+    # Sequential addition, as one shot at a time would add: np.sum (pairwise)
+    # or builtin sum (compensated on Python >= 3.12) could move the last digit.
+    for reading in pointer_readings(joint, rng, n_shots).tolist():
         total += reading
     mean = total / n_shots
     se = math.sqrt(sigma * sigma / 2.0 + g * g) / math.sqrt(n_shots)

@@ -86,10 +86,21 @@ def test_product_found_branch_reports_regime_limit(capsys):
     assert found["events"]["schmidt_second"] == 0.0
 
 
+def test_weak_ensemble_narrowest_strong_pointer_reports(capsys):
+    # sigma_strong=0.01 needs a finer pointer grid than the default 4096 points.
+    rc, out, _ = run_cli(capsys, "run", "weak_ensemble", "--param", "sigma_strong=0.01")
+    assert rc == 0
+    doc = json.loads(out)
+    flags = {c["name"]: c["passed"] for c in doc["checks"]}
+    assert flags["strong_limit_collapse"] is True
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("run", "no_such_scenario"),
+        # the strong pointer would need more than 2**20 grid points
+        ("run", "weak_ensemble", "--param", "sigma_strong=0.01", "--param", "g=300"),
         ("run", "qo_core", "--param", "bogus=1"),
         ("run", "zeno_basic", "--param", "alpha=spam"),
         ("run", "zeno_basic", "--param", "alpha=2.0"),

@@ -1,8 +1,10 @@
 """Golden hashes of report bytes: the same inputs must keep giving the same bytes.
 
 Each entry is the sha256 of `report_to_json` for one scenario at defaults and
-one seed, plus one `sweep_to_csv` of `dicke_tray_spoon` over
-l_spoon=0.1:0.01:20 (window projections on 4096- to 32768-point grids).
+one seed, plus two `sweep_to_csv` hashes at seed 0: `dicke_tray_spoon` over
+l_spoon=0.1:0.01:20 (window projections on 4096- to 32768-point grids) and
+`weak_ensemble` over g=0.5:1.5:10 at n_shots=1000 (pointer sampling at ten
+kicks, the sweep the benchmark's weak_sweep workload runs).
 
 A hash may change only in a change whose CHANGES.md entry says which entries
 moved and why. To print the current hashes:
@@ -20,6 +22,7 @@ from ketsim.scenarios import catalog
 
 SEEDS = (0, 7)
 SWEEP_KEY = "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20"
+WEAK_SWEEP_KEY = "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000"
 
 GOLDEN = {
     "qo_core/0": "8bc71448c53d50780f9a828bf93503901efc51e3930a161fe4a1e08f82cf61fc",
@@ -28,8 +31,8 @@ GOLDEN = {
     "hardy_ci/7": "5ec6a96fdbb4c0d5e21a7f41860dbee4aea850a960d7d2fa56df6dfcf6f0fd87",
     "atom_collision/0": "a89ac78184027c502ebbf57844278fdfddf5b10d2a2f2da7508995a46edb42fc",
     "atom_collision/7": "7eae15d4f124176b48ed0d38eed55c4af7eab9e9a96824ce2697f8e68f944774",
-    "oblivion_with_pointers/0": "efdc2d2433ac95ba6195ab0159104ae76e7bbc56b898b239b7662e6fb7761c19",
-    "oblivion_with_pointers/7": "8915b8440c67639b91d8264a2e1d605421829f5978e99865ca34c7f5ca867441",
+    "oblivion_with_pointers/0": "03e5fddee258c744e9af8d38573ef5c662ddeb18572c3766b9fa4de4eebf682e",
+    "oblivion_with_pointers/7": "8e65c82059648d936a82a587cfae2f946dd0452465397f1a28e2392bbbfbb7c2",
     "zeno_basic/0": "393e208dc581226046e57dbea38067c9e6f41b28527cfd9bc5164e6857f61d78",
     "zeno_basic/7": "ea4305706251bd6eac66d745b4db6f6e439336929ebde69b348a0ce7839d7746",
     "zeno_counterfactual/0": "d2ff455179bfd16a1878ddecee36556628390e7842f919238e727c03b82d0a10",
@@ -49,6 +52,7 @@ GOLDEN = {
     "ab_toy/0": "fca1df844e15b44fa867774aac1f9bdff7d5c48c050b987c65de256d3172d705",
     "ab_toy/7": "ac92f4893ec99972ddf3a6c49a447a4eb7de6dadbdaa573a8fd9fecf9f8aee3f",
     "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "75d0ce6a8ba61a11ff5c63ed2f872a8dd07abbd24975d0bc4bba844789a12a6b",
+    "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000": "f06bc445be37e0398852637782b231171b6d0d0d81bb958377d0eda7cab97287",
 }
 
 
@@ -67,6 +71,11 @@ def current_hashes() -> dict[str, str]:
         for v in np.linspace(0.1, 0.01, 20)
     ]
     out[SWEEP_KEY] = _sha(sweep_to_csv("l_spoon", points))
+    weak = [
+        (float(v), run_scenario("weak_ensemble", {"g": float(v), "n_shots": 1000}))
+        for v in np.linspace(0.5, 1.5, 10)
+    ]
+    out[WEAK_SWEEP_KEY] = _sha(sweep_to_csv("g", weak))
     return out
 
 

@@ -19,6 +19,7 @@ from ketsim import (
     make_pointer,
     new_register,
     partial_measure,
+    pointer_readings,
     postselect,
     postselect_out,
     project,
@@ -27,6 +28,7 @@ from ketsim import (
     superpose,
     weak_measure,
 )
+from ketsim.measure import WeakJointState
 
 import oracles
 
@@ -291,3 +293,53 @@ def test_narrow_pointer_collapses_system():
         _, post = read_pointer(joint, rng)
         top = max(born_probabilities(post, "spin").values())
         assert top > 0.999
+
+
+def balanced_joint():
+    reg = spin_register()
+    state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
+    params = WeakParams(g=1.0, sigma=2.0)
+    return weak_measure(state, make_pointer(params), "spin", {"up": 1.0, "down": -1.0}, params)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_pointer_readings_match_successive_read_pointer_calls(seed):
+    joint = balanced_joint()
+    k = 257
+    one_by_one = np.random.default_rng(seed)
+    singles = [read_pointer(joint, one_by_one)[0] for _ in range(k)]
+    batched = np.random.default_rng(seed)
+    readings = pointer_readings(joint, batched, k)
+    assert readings.shape == (k,)
+    assert readings.tolist() == singles
+    assert batched.bit_generator.state == one_by_one.bit_generator.state
+
+
+def test_read_pointer_draws_the_index_generator_choice_draws():
+    # The cached cdf must reproduce Generator.choice(p=density/total) draw for
+    # draw; if numpy ever changes choice, this fails instead of moving bytes.
+    joint = balanced_joint()
+    stack = np.stack(list(joint.pointers.values()))
+    density = np.sum(np.abs(stack) ** 2, axis=0) * joint.dx
+    p = density / float(density.sum())
+    ours = np.random.default_rng(11)
+    theirs = np.random.default_rng(11)
+    for _ in range(200):
+        reading, _post = read_pointer(joint, ours)
+        j = int(theirs.choice(joint.n, p=p))
+        assert reading == joint.x_min + joint.dx * j
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_zero_weight_joint_raises_on_every_call():
+    params = WeakParams(g=1.0, sigma=2.0)
+    reg = spin_register()
+    key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
+    joint = WeakJointState(
+        reg, params.n, params.x_min, params.x_max, {key: np.zeros(params.n, dtype=complex)}
+    )
+    for _ in range(2):
+        with pytest.raises(ImpossibleOutcomeError):
+            read_pointer(joint, 0)
+        with pytest.raises(ImpossibleOutcomeError):
+            pointer_readings(joint, 0, 10)
