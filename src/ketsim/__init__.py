@@ -39,7 +39,6 @@ from .grid import (
     gaussian_superposition,
     moments,
     momentum_spectrum,
-    translate,
     window_project,
 )
 from .measure import (
@@ -50,7 +49,6 @@ from .measure import (
     born_probabilities,
     erase_partial,
     joint_probability,
-    make_pointer,
     partial_measure,
     pointer_readings,
     postselect,
@@ -106,7 +104,6 @@ __all__ = [
     "is_product",
     "joint_probability",
     "list_scenarios",
-    "make_pointer",
     "moments",
     "momentum_spectrum",
     "new_register",
@@ -124,7 +121,6 @@ __all__ = [
     "schmidt",
     "superpose",
     "time_reverse",
-    "translate",
     "weak_measure",
     "window_project",
 ]

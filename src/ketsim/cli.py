@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed; 1 at least one check failed (the report is
 still written); 2 usage errors, unknown scenarios, or out-of-range
-parameters; 3 a timeline step hit an impossible outcome.
+parameters; 3 a timeline step hit an impossible outcome; 4 an internal error
+(any other exception).
 """
 
 from __future__ import annotations
@@ -149,6 +150,13 @@ def main(argv=None) -> int:
     except StepFailure as exc:
         print(f"ketsim: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        where = args.command
+        if args.command != "list":
+            where += f" {args.scenario} --seed {args.seed}"
+            where += "".join(f" --param {p}" for p in args.param)
+        print(f"ketsim: internal error in {where}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -145,15 +145,17 @@ def entropy(arg) -> float:
         lams = [float(x) for x in arg.eigenvalues()]
     else:
         lams = [float(x) for x in arg]
-    acc = 0.0
     for lam in lams:
         if lam < -EIG_NEG_TOL:
             raise ValueError(f"eigenvalue {lam!r} below -1e-10 is not float noise")
-        if lam < EIG_FLOOR:
-            continue
+    kept = [lam for lam in lams if lam >= EIG_FLOOR]
+    # One weight is a pure state: its entropy is exactly 0, whatever dust
+    # the weight's rounding away from 1 would add to -lam*log2(lam).
+    if len(kept) <= 1:
+        return 0.0
+    acc = 0.0
+    for lam in kept:
         acc -= lam * math.log2(lam)
-    # A pure state's lone weight can round to just above 1, and its term to
-    # a tiny negative; entropy is non-negative, so that dust reads as 0.
     return acc if acc > 0.0 else 0.0
 
 

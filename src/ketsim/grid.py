@@ -23,10 +23,28 @@ from .errors import ImpossibleOutcomeError, ParameterError, conditioning_scale
 
 NORM_TOL = 1e-9
 CONTAINMENT_RATIO = 1e-6
+# Largest grid an automatic size may pick (16 MB per complex array).
+MAX_GRID_POINTS = 2**20
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def fine_grid_size(span: float, spacing: float) -> int:
+    """Smallest power of two >= 4096 with span/n <= spacing.
+
+    Raises ParameterError past MAX_GRID_POINTS instead of allocating more.
+    """
+    n = 4096
+    while span / n > spacing:
+        n *= 2
+        if n > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"resolving spacing {spacing:g} over a span of {span:g} needs more than"
+                f" {MAX_GRID_POINTS} grid points"
+            )
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +159,8 @@ def dicke_domain(params: DickeParams) -> tuple[float, float]:
 
 
 def dicke_grid_size(params: DickeParams, domain: tuple[float, float]) -> int:
-    """Smallest power of two >= 4096 with dx <= ell/8."""
-    span = domain[1] - domain[0]
-    n = 4096
-    while span / n > params.ell / 8.0:
-        n *= 2
-    return n
+    """Smallest power of two >= 4096 with dx <= ell/8, at most MAX_GRID_POINTS."""
+    return fine_grid_size(domain[1] - domain[0], params.ell / 8.0)
 
 
 def gaussian_superposition(
@@ -253,13 +267,3 @@ def moments(arg) -> tuple[float, float]:
     var = float(np.sum((grid - mean) ** 2 * weights)) / total
     return mean, math.sqrt(max(var, 0.0))
 
-
-def translate(wf: GridWavefunction, d: float) -> GridWavefunction:
-    """Exact rigid shift psi(x) -> psi(x - d) via a momentum phase ramp.
-
-    Unitary on the periodic grid; the caller keeps shifts small enough that
-    nothing wraps around the boundary.
-    """
-    f = np.fft.fft(wf.amplitudes)
-    p = 2.0 * math.pi * np.fft.fftfreq(wf.n, d=wf.dx)
-    return GridWavefunction(wf.n, wf.x_min, wf.x_max, np.fft.ifft(f * np.exp(-1j * p * d)))

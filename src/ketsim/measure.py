@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
-from .grid import GridWavefunction, contained, gaussian_packet, translate
+from .grid import fine_grid_size, gaussian_packet
 from .register import NORM_TOL, Register, StateVector, matches, prune
 
 
@@ -231,32 +231,17 @@ def erase_partial(
 class WeakParams:
     """Pointer coupling: each eigenvalue shifts a Gaussian pointer by g*value.
 
-    sigma is the pointer width (amplitude exp(-x^2/2 sigma^2)); the grid must
-    resolve it with at least 8 points per sigma.
+    sigma is the pointer width (amplitude exp(-x^2/2 sigma^2)).
     """
 
     g: float
     sigma: float
-    n: int = 4096
-    x_min: float = -40.0
-    x_max: float = 40.0
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0):
             raise ParameterError("sigma must be positive")
         if not math.isfinite(self.g):
             raise ParameterError("g must be finite")
-        dx = (self.x_max - self.x_min) / self.n
-        if dx > self.sigma / 8.0:
-            raise ParameterError(
-                f"grid spacing {dx:g} does not resolve sigma={self.sigma:g}"
-                " (need >= 8 points per sigma)"
-            )
-
-
-def make_pointer(params: WeakParams) -> GridWavefunction:
-    """Centered Gaussian pointer on the params grid."""
-    return gaussian_packet(params.n, params.x_min, params.x_max, 0.0, params.sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,60 +269,55 @@ class WeakJointState:
         )
 
     @cached_property
-    def _sampler(self) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, stacked pointer rows, position cdf, position grid), built once.
+    def _sampler(self) -> tuple[np.ndarray, np.ndarray]:
+        """(position cdf, position grid), built once.
 
         The cdf is normalized the way Generator.choice(p=...) normalizes it, so
         a searchsorted draw of one uniform picks the index choice would pick.
         A zero-weight joint raises here on every access: a cached_property
         caches only a returned value.
         """
-        keys = list(self.pointers)
-        stack = np.stack([self.pointers[k] for k in keys])
-        density = np.sum(np.abs(stack) ** 2, axis=0) * self.dx
+        density = sum(np.abs(arr) ** 2 for arr in self.pointers.values()) * self.dx
         total = float(density.sum())
         if total <= PROB_FLOOR:
             raise ImpossibleOutcomeError("joint state has no weight to sample")
         cdf = (density / total).cumsum()
         cdf /= cdf[-1]
         xs = self.x_min + self.dx * np.arange(self.n)
-        return keys, stack, cdf, xs
+        return cdf, xs
 
 
 def weak_measure(
     state: StateVector,
-    pointer: GridWavefunction,
     subsystem: str,
     observable: Mapping[str, float],
     params: WeakParams,
 ) -> WeakJointState:
     """Couple an observable of one subsystem to the pointer position.
 
-    Each branch drags its pointer copy by g times the branch's eigenvalue;
-    nothing is sampled yet, so the joint state stays pure. The shifted
-    pointers must remain contained on the grid.
+    Each branch carries a Gaussian pointer centered at g times the branch's
+    eigenvalue; nothing is sampled yet, so the joint state stays pure. The
+    grid spans +-(10 sigma + 5 |g| max|eigenvalue|) with at least 8 points
+    per sigma, so every shifted pointer is contained.
     """
     reg = state.register
     si = reg.index(subsystem)
     spec = reg.spec(subsystem)
-    if pointer.n != params.n or pointer.x_min != params.x_min or pointer.x_max != params.x_max:
-        raise ParameterError("pointer grid does not match params grid")
-    shifted: dict[int, np.ndarray] = {}
-    pointers: dict = {}
-    for key, amp in state.amplitudes.items():
-        label = spec.labels[key[si]]
-        if label not in observable:
-            raise ParameterError(f"observable gives no eigenvalue for populated label {label!r}")
+    shifts: dict[int, float] = {}
+    for key in state.amplitudes:
         li = key[si]
-        if li not in shifted:
-            moved = translate(pointer, params.g * float(observable[label]))
-            if not contained(moved):
-                raise ParameterError(
-                    "shifted pointer leaks off the grid; enlarge the domain or reduce g"
-                )
-            shifted[li] = moved.amplitudes
-        pointers[key] = amp * shifted[li]
-    return WeakJointState(reg, params.n, params.x_min, params.x_max, pointers)
+        if li not in shifts:
+            label = spec.labels[li]
+            if label not in observable:
+                raise ParameterError(f"observable gives no eigenvalue for populated label {label!r}")
+            shifts[li] = params.g * float(observable[label])
+    half = 10.0 * params.sigma + 5.0 * max(map(abs, shifts.values()), default=0.0)
+    n = fine_grid_size(2.0 * half, params.sigma / 8.0)
+    packets = {
+        d: gaussian_packet(n, -half, half, d, params.sigma).amplitudes for d in set(shifts.values())
+    }
+    pointers = {key: amp * packets[shifts[key[si]]] for key, amp in state.amplitudes.items()}
+    return WeakJointState(reg, n, -half, half, pointers)
 
 
 def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
@@ -347,11 +327,11 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     pointer barely disturbs the system; ensemble means of readings divided by
     g recover the observable's expectation value.
     """
-    keys, stack, cdf, xs = joint._sampler
+    cdf, xs = joint._sampler
     rng = as_generator(seed)
     j = int(cdf.searchsorted(rng.random(), side="right"))
     reading = float(xs[j])
-    amps = {k: complex(stack[i, j]) for i, k in enumerate(keys)}
+    amps = {k: complex(arr[j]) for k, arr in joint.pointers.items()}
     amps = prune(amps)
     weight = sum(abs(a) ** 2 for a in amps.values())
     # The position was drawn from the density, so its weight is positive;
@@ -367,6 +347,6 @@ def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
     Consumes the generator exactly as `shots` successive read_pointer calls
     do and returns the same readings; use it when only the readings matter.
     """
-    _keys, _stack, cdf, xs = joint._sampler
+    cdf, xs = joint._sampler
     rng = as_generator(seed)
     return xs[cdf.searchsorted(rng.random(shots), side="right")]

@@ -19,7 +19,6 @@ from ..measure import (
     apply_partial_outcome,
     born_probabilities,
     erase_partial,
-    make_pointer,
     pointer_readings,
     read_pointer,
     weak_measure,
@@ -38,9 +37,13 @@ def _run_partial_erasure(params, rng):
     eps = params["eps"]
     target = params["target"]
     reg = new_register([("spin", ("up", "down"))])
+    # sqrt(0.5) weights round up to 0.5000000000000001 (normalizing would round
+    # them down), so target=0.5 takes no step, as the closed form says.
+    amp = math.sqrt(0.5)
     initial = superpose(
         reg,
-        [(1.0, {"spin": "up"}), (cmath.exp(1j * _PHASE), {"spin": "down"})],
+        [(amp, {"spin": "up"}), (amp * cmath.exp(1j * _PHASE), {"spin": "down"})],
+        normalize=False,
     )
     steps = [make_step("balanced preparation", initial, distribution=("spin", born_probabilities(initial, "spin")))]
     checks = []
@@ -155,18 +158,8 @@ def _run_weak_ensemble(params, rng):
     steps = [make_step("balanced preparation", state)]
     checks = []
 
-    def grid_for(width: float) -> WeakParams:
-        half = 10.0 * width + 5.0 * g
-        # Double the grid until it holds 8 points per width; past 2**20
-        # points WeakParams itself rejects the width (ParameterError).
-        n = 4096
-        while 2.0 * half / n > width / 8.0 and n < 2**20:
-            n *= 2
-        return WeakParams(g=g, sigma=width, n=n, x_min=-half, x_max=half)
-
     # Ensemble statistics with a symmetric +-1 observable: mean reading 0.
-    wp = grid_for(sigma)
-    joint = weak_measure(state, make_pointer(wp), "spin", {"up": 1.0, "down": -1.0}, wp)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma))
     total = 0.0
     # Sequential addition, as one shot at a time would add: np.sum (pairwise)
     # or builtin sum (compensated on Python >= 3.12) could move the last digit.
@@ -184,8 +177,7 @@ def _run_weak_ensemble(params, rng):
 
     # Disturbance: a pointer twenty times wider than its kick leaves the
     # system almost untouched, averaged over outcomes.
-    wp1 = grid_for(sigma_single)
-    joint1 = weak_measure(state, make_pointer(wp1), "spin", {"up": 1.0, "down": 0.0}, wp1)
+    joint1 = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma_single))
     fid_total = 0.0
     for _ in range(singles):
         _reading, post = read_pointer(joint1, rng)
@@ -206,8 +198,7 @@ def _run_weak_ensemble(params, rng):
 
     # Strong limit: a pointer much narrower than its kick is an ordinary
     # projective readout.
-    wps = grid_for(sigma_strong)
-    joints = weak_measure(state, make_pointer(wps), "spin", {"up": 1.0, "down": -1.0}, wps)
+    joints = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma_strong))
     reading_s, post_s = read_pointer(joints, rng)
     dist = born_probabilities(post_s, "spin")
     top = max(dist.values())

@@ -95,6 +95,15 @@ def test_weak_ensemble_narrowest_strong_pointer_reports(capsys):
     assert flags["strong_limit_collapse"] is True
 
 
+def test_partial_erasure_balanced_target_takes_no_step(capsys):
+    # target=0.5 is the closed lower bound: the balanced preparation meets it.
+    rc, out, _ = run_cli(capsys, "run", "partial_erasure", "--param", "target=0.5")
+    assert rc == 0
+    doc = json.loads(out)
+    walk = {s["label"]: s for s in doc["steps"]}["null-result walk"]
+    assert walk["events"]["iterations"] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -114,6 +123,8 @@ def test_weak_ensemble_narrowest_strong_pointer_reports(capsys):
         ("sweep", "zeno_basic", "--param", "alpha=0.1:0.2:0"),
         ("sweep", "zeno_basic", "--param", "alpha=a:b:3"),
         ("sweep", "zeno_basic", "--param", "alpha=0.1:0.2:2.5"),
+        # one grid over both packets would need 2**27 points; the cap is 2**20
+        ("run", "dicke_tray_spoon", "--param", "x_spoon=-535772"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -130,6 +141,16 @@ def test_step_failure_exits_3(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "run", "qo_core")
     assert rc == 3
     assert "beam splitters" in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def boom(name, params=None, seed=0):
+        raise ValueError("synthetic")
+
+    monkeypatch.setattr(cli, "run_scenario", boom)
+    rc, out, err = run_cli(capsys, "run", "qo_core", "--seed", "5", "--param", "cycles=3")
+    assert rc == 4 and out == ""
+    assert err == "ketsim: internal error in run qo_core --seed 5 --param cycles=3: ValueError: synthetic\n"
 
 
 def test_no_command_is_usage_error(capsys):

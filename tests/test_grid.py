@@ -14,10 +14,9 @@ from ketsim import (
     gaussian_superposition,
     moments,
     momentum_spectrum,
-    translate,
     window_project,
 )
-from ketsim.grid import contained, from_momentum_amplitudes, momentum_amplitudes
+from ketsim.grid import MAX_GRID_POINTS, contained, from_momentum_amplitudes, momentum_amplitudes
 
 import oracles
 
@@ -70,17 +69,6 @@ def test_momentum_roundtrip():
     p, phi = momentum_amplitudes(wf)
     back = from_momentum_amplitudes(p, phi, wf.n, wf.x_min, wf.x_max)
     assert np.allclose(back.amplitudes, wf.amplitudes, atol=1e-10)
-
-
-def test_translate_shifts_mean_exactly():
-    wf = packet(width=1.0)
-    moved = translate(wf, 4.25)
-    mean, std = moments(moved)
-    assert mean == pytest.approx(4.25, abs=1e-9)
-    assert std == pytest.approx(1 / math.sqrt(2), rel=1e-6)
-    assert moved.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    back = translate(moved, -4.25)
-    assert np.allclose(back.amplitudes, wf.amplitudes, atol=1e-12)
 
 
 def test_window_project_matches_analytic_mass():
@@ -139,6 +127,15 @@ def test_dicke_grid_size_resolves_small_packet():
     n = dicke_grid_size(params, domain)
     assert n >= 4096 and (n & (n - 1)) == 0
     assert (domain[1] - domain[0]) / n <= params.ell / 8.0
+
+
+def test_dicke_grid_size_is_capped():
+    # span 6546 needs exactly 2**20 points at ell/8; span 6616 would need 2**21
+    at_cap = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6530.0, eps=0.1)
+    assert dicke_grid_size(at_cap, dicke_domain(at_cap)) == MAX_GRID_POINTS == 2**20
+    past = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6600.0, eps=0.1)
+    with pytest.raises(ParameterError, match=str(MAX_GRID_POINTS)):
+        dicke_grid_size(past, dicke_domain(past))
 
 
 def test_dicke_superposition_weights():

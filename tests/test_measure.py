@@ -16,7 +16,6 @@ from ketsim import (
     erase_partial,
     fidelity,
     joint_probability,
-    make_pointer,
     new_register,
     partial_measure,
     pointer_readings,
@@ -229,8 +228,6 @@ def test_erase_partial_validation():
 def test_weak_params_validation():
     with pytest.raises(ParameterError):
         WeakParams(g=1.0, sigma=0.0)
-    with pytest.raises(ParameterError):
-        WeakParams(g=1.0, sigma=0.01)  # default grid cannot resolve it
     WeakParams(g=1.0, sigma=1.0)
 
 
@@ -238,18 +235,19 @@ def test_weak_measure_norm_and_validation():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
     params = WeakParams(g=1.0, sigma=2.0)
-    pointer = make_pointer(params)
-    joint = weak_measure(state, pointer, "spin", {"up": 1.0, "down": -1.0}, params)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
     assert joint.norm_sq() == pytest.approx(1.0, abs=1e-9)
+    # half-width 10*sigma + 5*|g|*max|eigenvalue|, 8 points per sigma
+    assert (joint.n, joint.x_min, joint.x_max) == (4096, -25.0, 25.0)
     with pytest.raises(ParameterError):
-        weak_measure(state, pointer, "spin", {"up": 1.0}, params)  # missing eigenvalue
-    other = WeakParams(g=1.0, sigma=2.0, n=2048)
-    with pytest.raises(ParameterError):
-        weak_measure(state, make_pointer(other), "spin", {"up": 1.0, "down": -1.0}, params)
-    # pointer dragged right onto the grid edge: containment must trip
-    big_g = WeakParams(g=40.0, sigma=2.0)
-    with pytest.raises(ParameterError):
-        weak_measure(state, make_pointer(big_g), "spin", {"up": 1.0, "down": -1.0}, big_g)
+        weak_measure(state, "spin", {"up": 1.0}, params)  # missing eigenvalue
+    # a kick of 20 widths widens the grid instead of leaking off its edge
+    far = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=40.0, sigma=2.0))
+    assert far.norm_sq() == pytest.approx(1.0, abs=1e-9)
+    assert all(abs(arr[0]) < 1e-12 and abs(arr[-1]) < 1e-12 for arr in far.pointers.values())
+    # 8 points per sigma=0.01 over +-1500.1 would need more than 2**20 points
+    with pytest.raises(ParameterError, match=str(2**20)):
+        weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=300.0, sigma=0.01))
 
 
 def test_read_pointer_recovers_expectation_value():
@@ -260,7 +258,7 @@ def test_read_pointer_recovers_expectation_value():
         normalize=False,
     )
     params = WeakParams(g=1.0, sigma=2.0)
-    joint = weak_measure(state, make_pointer(params), "spin", {"up": 1.0, "down": -1.0}, params)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
     rng = np.random.default_rng(7)
     n = 4000
     readings = np.array([read_pointer(joint, rng)[0] for _ in range(n)])
@@ -276,7 +274,7 @@ def test_read_pointer_seed_determinism():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
     params = WeakParams(g=1.0, sigma=2.0)
-    joint = weak_measure(state, make_pointer(params), "spin", {"up": 1.0, "down": -1.0}, params)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
     r1, p1 = read_pointer(joint, 99)
     r2, p2 = read_pointer(joint, 99)
     assert r1 == r2
@@ -286,8 +284,8 @@ def test_read_pointer_seed_determinism():
 def test_narrow_pointer_collapses_system():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
-    params = WeakParams(g=1.0, sigma=0.05, n=8192, x_min=-8.0, x_max=8.0)
-    joint = weak_measure(state, make_pointer(params), "spin", {"up": 1.0, "down": -1.0}, params)
+    params = WeakParams(g=1.0, sigma=0.05)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
     rng = np.random.default_rng(13)
     for _ in range(20):
         _, post = read_pointer(joint, rng)
@@ -299,7 +297,7 @@ def balanced_joint():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
     params = WeakParams(g=1.0, sigma=2.0)
-    return weak_measure(state, make_pointer(params), "spin", {"up": 1.0, "down": -1.0}, params)
+    return weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -332,12 +330,9 @@ def test_read_pointer_draws_the_index_generator_choice_draws():
 
 
 def test_zero_weight_joint_raises_on_every_call():
-    params = WeakParams(g=1.0, sigma=2.0)
     reg = spin_register()
     key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
-    joint = WeakJointState(
-        reg, params.n, params.x_min, params.x_max, {key: np.zeros(params.n, dtype=complex)}
-    )
+    joint = WeakJointState(reg, 4096, -40.0, 40.0, {key: np.zeros(4096, dtype=complex)})
     for _ in range(2):
         with pytest.raises(ImpossibleOutcomeError):
             read_pointer(joint, 0)
