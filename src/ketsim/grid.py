@@ -9,13 +9,19 @@ p_k = 2*pi*k/(n*dx) folded to the symmetric interval.
 Width convention: a packet of width parameter w has amplitude
 exp(-(x-c)^2 / 2w^2), hence position std w/sqrt(2) and momentum std
 1/(w*sqrt(2)); the uncertainty product is exactly 1/2.
+
+Every wavefunction on one geometry (n, x_min, x_max) reads the same
+read-only axis arrays from `grid_axes`, which keeps the two most recent
+geometries. The n-point arithmetic runs in place on arrays a function owns,
+with the same operations in the same order as the plain expressions, so
+every result is bit-identical to them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +35,59 @@ MAX_GRID_POINTS = 2**20
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
+
+
+def _check_geometry(n: int, x_min: float, x_max: float) -> None:
+    if not _is_power_of_two(n):
+        raise ParameterError(f"sample count must be a power of two, got {n}")
+    if not x_max > x_min:
+        raise ParameterError("x_max must exceed x_min")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class GridAxes:
+    """Read-only axis arrays of one grid geometry, each built on first use."""
+
+    def __init__(self, n: int, x_min: float, x_max: float) -> None:
+        self.n = n
+        self.x_min = x_min
+        self.dx = (x_max - x_min) / n
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        return _read_only(self.x_min + self.dx * np.arange(self.n))
+
+    @cached_property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ascending momenta, FFT-order phase exp(-i p x_min))."""
+        p = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
+        phase = np.exp(-1j * p * self.x_min)
+        return _read_only(np.fft.fftshift(p)), _read_only(phase)
+
+
+@lru_cache(maxsize=2)
+def grid_axes(n: int, x_min: float, x_max: float) -> GridAxes:
+    """The shared axes of a geometry; the cache holds two geometries."""
+    return GridAxes(n, x_min, x_max)
+
+
+def _gaussian(xs: np.ndarray, center: float, denom: float) -> np.ndarray:
+    """exp(-((xs - center) ** 2) / denom) in one new array."""
+    t = np.subtract(xs, center)
+    np.square(t, out=t)
+    np.negative(t, out=t)
+    t /= denom
+    return np.exp(t, out=t)
+
+
+def _density(amps: np.ndarray) -> np.ndarray:
+    """abs(amps) ** 2 in one new array."""
+    d = np.abs(amps)
+    return np.square(d, out=d)
 
 
 def fine_grid_size(span: float, spacing: float) -> int:
@@ -57,10 +116,7 @@ class GridWavefunction:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not _is_power_of_two(self.n):
-            raise ParameterError(f"sample count must be a power of two, got {self.n}")
-        if not self.x_max > self.x_min:
-            raise ParameterError("x_max must exceed x_min")
+        _check_geometry(self.n, self.x_min, self.x_max)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.n,):
             raise ParameterError(f"amplitudes must have shape ({self.n},)")
@@ -72,19 +128,30 @@ class GridWavefunction:
 
     @cached_property
     def xs(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        return grid_axes(self.n, self.x_min, self.x_max).xs
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx)
+        return float(np.sum(_density(self.amplitudes)) * self.dx)
 
-    def normalized(self) -> "GridWavefunction":
+    def _norm(self) -> float:
         n2 = self.norm_sq()
         if n2 < 1e-300:
             raise ImpossibleOutcomeError("cannot normalize a zero wavefunction")
-        return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes / math.sqrt(n2))
+        return math.sqrt(n2)
+
+    def normalized(self) -> "GridWavefunction":
+        return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes / self._norm())
 
     def density(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return _density(self.amplitudes)
+
+
+def _owned_normalized(n: int, x_min: float, x_max: float, amps: np.ndarray) -> GridWavefunction:
+    """normalized() for amplitudes the caller owns: divides them in place."""
+    wf = GridWavefunction(n, x_min, x_max, amps)
+    owned = wf.amplitudes
+    owned /= wf._norm()
+    return wf
 
 
 def contained(wf: GridWavefunction) -> bool:
@@ -102,14 +169,15 @@ def gaussian_packet(
     """Normalized packet exp(-(x-center)^2 / 2*width^2) on the grid."""
     if width <= 0:
         raise ParameterError("width must be positive")
-    probe = GridWavefunction(n, x_min, x_max, np.zeros(n, dtype=complex))
-    if probe.dx > width / 4:
+    _check_geometry(n, x_min, x_max)
+    dx = (x_max - x_min) / n
+    if dx > width / 4:
         raise ParameterError(
-            f"grid spacing {probe.dx:g} does not resolve width {width:g} (need dx <= width/4)"
+            f"grid spacing {dx:g} does not resolve width {width:g} (need dx <= width/4)"
         )
-    xs = probe.xs
-    amps = np.exp(-((xs - center) ** 2) / (2.0 * width * width)).astype(complex)
-    wf = GridWavefunction(n, x_min, x_max, amps).normalized()
+    xs = grid_axes(n, x_min, x_max).xs
+    amps = _gaussian(xs, center, 2.0 * width * width).astype(complex)
+    wf = _owned_normalized(n, x_min, x_max, amps)
     if not contained(wf):
         raise ParameterError("packet is not contained: boundary amplitude too large")
     return wf
@@ -181,16 +249,21 @@ def gaussian_superposition(
             raise ParameterError("domain too small: needs 5 widths beyond each packet")
     if n is None:
         n = dicke_grid_size(params, domain)
-    probe = GridWavefunction(n, lo, hi, np.zeros(n, dtype=complex))
-    if probe.dx > params.ell / 8.0:
+    _check_geometry(n, lo, hi)
+    dx = (hi - lo) / n
+    if dx > params.ell / 8.0:
         raise ParameterError(
-            f"grid spacing {probe.dx:g} does not resolve ell={params.ell:g} (need dx <= ell/8)"
+            f"grid spacing {dx:g} does not resolve ell={params.ell:g} (need dx <= ell/8)"
         )
-    xs = probe.xs
-    big = params.n1 * np.exp(-((xs - params.x1) ** 2) / (2.0 * params.L**2))
-    small = params.n2 * np.exp(-((xs - params.x2) ** 2) / (2.0 * params.ell**2))
-    amps = (math.sqrt(1.0 - params.eps**2) * big + params.eps * small).astype(complex)
-    wf = GridWavefunction(n, lo, hi, amps).normalized()
+    xs = grid_axes(n, lo, hi).xs
+    big = _gaussian(xs, params.x1, 2.0 * params.L**2)
+    big *= params.n1
+    small = _gaussian(xs, params.x2, 2.0 * params.ell**2)
+    small *= params.n2
+    big *= math.sqrt(1.0 - params.eps**2)
+    small *= params.eps
+    big += small
+    wf = _owned_normalized(n, lo, hi, big.astype(complex))
     if not contained(wf):
         raise ParameterError("superposition is not contained on the requested domain")
     return wf
@@ -208,13 +281,18 @@ def window_project(
     a, b = interval
     if not (wf.x_min <= a < b <= wf.x_max):
         raise ParameterError("interval must lie within the domain")
-    inside = (wf.xs >= a) & (wf.xs <= b)
-    mask = inside if keep_inside else ~inside
-    kept = np.where(mask, wf.amplitudes, 0.0j)
-    prob = float(np.sum(np.abs(kept) ** 2) * wf.dx)
-    scale = conditioning_scale(prob, "window projection")
-    post = GridWavefunction(wf.n, wf.x_min, wf.x_max, kept * scale)
-    return prob, post
+    # samples with a <= x <= b, as an index range of the ascending grid
+    lo = int(wf.xs.searchsorted(a, side="left"))
+    hi = int(wf.xs.searchsorted(b, side="right"))
+    if keep_inside:
+        kept = np.zeros(wf.n, dtype=complex)
+        kept[lo:hi] = wf.amplitudes[lo:hi]
+    else:
+        kept = wf.amplitudes.copy()
+        kept[lo:hi] = 0.0
+    prob = float(np.sum(_density(kept)) * wf.dx)
+    kept *= conditioning_scale(prob, "window projection")
+    return prob, GridWavefunction(wf.n, wf.x_min, wf.x_max, kept)
 
 
 def momentum_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +301,13 @@ def momentum_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     Unitary convention: phi(p) = (1/sqrt(2*pi)) * integral psi(x) e^{-ipx} dx,
     discretized so sum |phi_k|^2 dp = sum |psi_j|^2 dx exactly.
     """
-    dx = wf.dx
-    f = np.fft.fft(wf.amplitudes)
-    p = 2.0 * math.pi * np.fft.fftfreq(wf.n, d=dx)
-    phi = f * dx / math.sqrt(2.0 * math.pi) * np.exp(-1j * p * wf.x_min)
-    order = np.fft.fftshift(np.arange(wf.n))
-    return p[order], phi[order]
+    p, phase = grid_axes(wf.n, wf.x_min, wf.x_max).spectral
+    phi = np.fft.fft(wf.amplitudes)
+    phi *= wf.dx
+    phi /= math.sqrt(2.0 * math.pi)
+    phi *= phase
+    half = wf.n // 2  # fftshift of an even-length array, without np.roll's overhead
+    return p, np.concatenate((phi[half:], phi[:half]))
 
 
 def from_momentum_amplitudes(
@@ -248,14 +327,17 @@ def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("spectrum needs a contained wavefunction (boundary leakage)")
     p, phi = momentum_amplitudes(wf)
     dp = 2.0 * math.pi / (wf.n * wf.dx)
-    return p, np.abs(phi) ** 2 * dp
+    probs = _density(phi)
+    probs *= dp
+    return p, probs
 
 
 def moments(arg) -> tuple[float, float]:
     """(mean, std) of position for a wavefunction, or of a (grid, probs) pair."""
     if isinstance(arg, GridWavefunction):
         grid = arg.xs
-        weights = arg.density() * arg.dx
+        weights = arg.density()
+        weights *= arg.dx
     else:
         grid, weights = arg
         grid = np.asarray(grid, dtype=float)
@@ -263,7 +345,11 @@ def moments(arg) -> tuple[float, float]:
     total = float(np.sum(weights))
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ParameterError(f"moments need a normalized input (total weight {total:g})")
-    mean = float(np.sum(grid * weights)) / total
-    var = float(np.sum((grid - mean) ** 2 * weights)) / total
+    t = np.multiply(grid, weights)
+    mean = float(np.sum(t)) / total
+    np.subtract(grid, mean, out=t)
+    np.square(t, out=t)
+    t *= weights
+    var = float(np.sum(t)) / total
     return mean, math.sqrt(max(var, 0.0))
 

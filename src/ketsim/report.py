@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -133,7 +134,13 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+# A character that _fmt_str must escape.
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+
+
 def _fmt_str(s: str) -> str:
+    if _NEEDS_ESCAPE.search(s) is None:
+        return '"' + s + '"'
     out = ['"']
     for ch in s:
         if ch == '"':

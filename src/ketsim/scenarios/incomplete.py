@@ -30,6 +30,8 @@ from . import ParamSpec, Scenario, guard
 # Fixed relative phase carried through the null-result walk; restoring it is
 # part of the claim, so it must not be zero.
 _PHASE = 0.7
+# Most null steps partial_erasure walks; inputs that need more are refused.
+_MAX_WALK_STEPS = 100000
 
 
 def _run_partial_erasure(params, rng):
@@ -49,14 +51,25 @@ def _run_partial_erasure(params, rng):
     checks = []
 
     q = 1.0 - eps
-    k_expected = math.ceil(math.log(target / (1.0 - target)) / (-math.log(q)) - 1e-9)
+    rate = -math.log(q)
+    if rate == 0.0:
+        raise ParameterError(
+            f"eps={eps:g} rounds 1 - eps to 1, so no null step moves the state;"
+            f" the walk is capped at {_MAX_WALK_STEPS} steps"
+        )
+    k_expected = math.ceil(math.log(target / (1.0 - target)) / rate - 1e-9)
+    if k_expected > _MAX_WALK_STEPS:
+        raise ParameterError(
+            f"reaching target={target:g} at eps={eps:g} needs {k_expected} null steps;"
+            f" the walk is capped at {_MAX_WALK_STEPS}"
+        )
     state = initial
     count = 0
     with guard(name, "null-result walk"):
         while born_probabilities(state, "spin").get("up", 0.0) < target:
             state = apply_partial_outcome(state, "spin", "down", eps, "no-click").post_state
             count += 1
-            if count > 100000:
+            if count > _MAX_WALK_STEPS:
                 raise ParameterError("null-result walk does not reach the target")
     p_up = born_probabilities(state, "spin").get("up", 0.0)
     qk = q**count

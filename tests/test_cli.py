@@ -125,12 +125,23 @@ def test_partial_erasure_balanced_target_takes_no_step(capsys):
         ("sweep", "zeno_basic", "--param", "alpha=0.1:0.2:2.5"),
         # one grid over both packets would need 2**27 points; the cap is 2**20
         ("run", "dicke_tray_spoon", "--param", "x_spoon=-535772"),
+        # about 4.6 million null steps; the walk is capped at 100 000
+        ("run", "partial_erasure", "--param", "eps=1e-6"),
+        # 1 - eps rounds to 1: no null step moves the state
+        ("run", "partial_erasure", "--param", "eps=1e-300"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("ketsim: ")
+
+
+def test_partial_erasure_past_the_step_cap_is_refused_before_walking(capsys):
+    rc, out, err = run_cli(capsys, "run", "partial_erasure", "--param", "eps=1e-6")
+    assert rc == 2 and out == ""
+    # the closed-form step count and the cap, named before any step is taken
+    assert "needs 4595118 null steps" in err and "capped at 100000" in err
 
 
 def test_step_failure_exits_3(capsys, monkeypatch):

@@ -156,3 +156,101 @@ def test_uncertainty_product_floor():
         p, probs = momentum_spectrum(wf)
         _, ps = moments((p, probs))
         assert xs * ps >= 0.5 - 1e-3
+
+
+# Geometries (n, x_min, x_max) for the bit-identity checks below, each with
+# room for a unit-width packet and a Dicke pair (L=1, ell=0.1, 6 apart).
+GEOMETRIES = ((4096, -20.0, 20.0), (8192, 3.25, 83.25), (16384, 0.0, 100.0))
+
+
+def _plain_xs(n, x_min, x_max):
+    return x_min + (x_max - x_min) / n * np.arange(n)
+
+
+def _geometry_packet(n, x_min, x_max):
+    return gaussian_packet(n, x_min, x_max, 0.5 * (x_min + x_max), 1.0)
+
+
+def _geometry_dicke(n, x_min, x_max):
+    params = DickeParams(L=1.0, ell=0.1, x1=x_min + 9.0, x2=x_min + 15.0, eps=0.3)
+    return params, gaussian_superposition(params, n=n, domain=(x_min, x_max))
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_packets_match_the_plain_formulas_bit_for_bit(geometry):
+    n, x_min, x_max = geometry
+    dx = (x_max - x_min) / n
+    xs = _plain_xs(n, x_min, x_max)
+    center, width = 0.5 * (x_min + x_max), 1.0
+    amps = np.exp(-((xs - center) ** 2) / (2.0 * width * width)).astype(complex)
+    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+    assert np.array_equal(_geometry_packet(n, x_min, x_max).amplitudes, amps)
+
+    params, wf = _geometry_dicke(n, x_min, x_max)
+    big = params.n1 * np.exp(-((xs - params.x1) ** 2) / (2.0 * params.L**2))
+    small = params.n2 * np.exp(-((xs - params.x2) ** 2) / (2.0 * params.ell**2))
+    amps = (math.sqrt(1.0 - params.eps**2) * big + params.eps * small).astype(complex)
+    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+    assert np.array_equal(wf.amplitudes, amps)
+    assert np.array_equal(wf.xs, xs)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_spectra_and_moments_match_the_plain_formulas_bit_for_bit(geometry):
+    _, wf = _geometry_dicke(*geometry)
+    dx = wf.dx
+    f = np.fft.fft(wf.amplitudes)
+    p = 2.0 * math.pi * np.fft.fftfreq(wf.n, d=dx)
+    phi = f * dx / math.sqrt(2.0 * math.pi) * np.exp(-1j * p * wf.x_min)
+    order = np.fft.fftshift(np.arange(wf.n))
+    p_sorted, phi_sorted = p[order], phi[order]
+
+    got_p, got_phi = momentum_amplitudes(wf)
+    assert np.array_equal(got_p, p_sorted) and np.array_equal(got_phi, phi_sorted)
+    probs = np.abs(phi_sorted) ** 2 * (2.0 * math.pi / (wf.n * dx))
+    got_p, got_probs = momentum_spectrum(wf)
+    assert np.array_equal(got_p, p_sorted) and np.array_equal(got_probs, probs)
+
+    def plain_moments(grid, weights):
+        total = float(np.sum(weights))
+        mean = float(np.sum(grid * weights)) / total
+        var = float(np.sum((grid - mean) ** 2 * weights)) / total
+        return mean, math.sqrt(max(var, 0.0))
+
+    xs = _plain_xs(wf.n, wf.x_min, wf.x_max)
+    assert moments(wf) == plain_moments(xs, np.abs(wf.amplitudes) ** 2 * dx)
+    assert moments((p_sorted, probs)) == plain_moments(p_sorted, probs)
+
+
+@pytest.mark.parametrize("keep_inside", (True, False))
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_window_project_matches_the_plain_mask_bit_for_bit(geometry, keep_inside):
+    n, x_min, x_max = geometry
+    wf = _geometry_packet(n, x_min, x_max)
+    xs = _plain_xs(n, x_min, x_max)
+    # both ends sit exactly on samples, so both are inside the window
+    mid = n // 2
+    a, b = float(xs[mid - 100]), float(xs[mid + 37])
+    inside = (xs >= a) & (xs <= b)
+    kept = np.where(inside if keep_inside else ~inside, wf.amplitudes, 0.0j)
+    prob = float(np.sum(np.abs(kept) ** 2) * wf.dx)
+
+    got_prob, post = window_project(wf, (a, b), keep_inside=keep_inside)
+    assert got_prob == prob
+    assert np.array_equal(post.amplitudes, kept * (1.0 / math.sqrt(prob)))
+    in_window = post.amplitudes[mid - 100 : mid + 38]
+    assert in_window.all() if keep_inside else not in_window.any()
+
+
+def test_grid_axes_are_shared_and_read_only():
+    n, x_min, x_max = GEOMETRIES[1]
+    one = _geometry_packet(n, x_min, x_max)
+    two = GridWavefunction(n, x_min, x_max, np.zeros(n, dtype=complex))
+    assert one.xs is two.xs
+    with pytest.raises(ValueError):
+        one.xs[0] = 0.0
+    p, _ = momentum_amplitudes(one)
+    with pytest.raises(ValueError):
+        p[0] = 0.0
+    p2, _ = momentum_spectrum(one)
+    assert p2 is p

@@ -110,6 +110,15 @@ def test_json_layout_rules():
         dumps_json({"bad": object()})
 
 
+def test_string_escapes_follow_the_per_character_rules():
+    named = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+    for code in [*range(0x80), 0xE9, 0x3C8, 0x1F600]:
+        ch = chr(code)
+        escaped = named.get(ch, "\\u%04x" % code if code < 0x20 else ch)
+        assert dumps_json("a" + ch + "b") == '"a' + escaped + 'b"\n'
+        assert json.loads(dumps_json(ch)) == ch
+
+
 def test_report_to_csv_shape():
     text = report_to_csv(small_report())
     lines = text.strip().split("\n")
