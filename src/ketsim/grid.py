@@ -11,10 +11,10 @@ exp(-(x-c)^2 / 2w^2), hence position std w/sqrt(2) and momentum std
 1/(w*sqrt(2)); the uncertainty product is exactly 1/2.
 
 Every wavefunction on one geometry (n, x_min, x_max) reads the same
-read-only axis arrays from `grid_axes`, which keeps the two most recent
-geometries. The n-point arithmetic runs in place on arrays a function owns,
-with the same operations in the same order as the plain expressions, so
-every result is bit-identical to them.
+read-only axis arrays from `grid_xs` and `_grid_spectral`, each of which
+keeps the two most recent geometries. The n-point arithmetic runs in place
+on arrays a function owns, with the same operations in the same order as the
+plain expressions, so every result is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -49,30 +49,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class GridAxes:
-    """Read-only axis arrays of one grid geometry, each built on first use."""
-
-    def __init__(self, n: int, x_min: float, x_max: float) -> None:
-        self.n = n
-        self.x_min = x_min
-        self.dx = (x_max - x_min) / n
-
-    @cached_property
-    def xs(self) -> np.ndarray:
-        return _read_only(self.x_min + self.dx * np.arange(self.n))
-
-    @cached_property
-    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ascending momenta, FFT-order phase exp(-i p x_min))."""
-        p = 2.0 * math.pi * np.fft.fftfreq(self.n, d=self.dx)
-        phase = np.exp(-1j * p * self.x_min)
-        return _read_only(np.fft.fftshift(p)), _read_only(phase)
+@lru_cache(maxsize=2)
+def grid_xs(n: int, x_min: float, x_max: float) -> np.ndarray:
+    """Shared read-only sample positions of a geometry; copy before writing."""
+    return _read_only(x_min + (x_max - x_min) / n * np.arange(n))
 
 
 @lru_cache(maxsize=2)
-def grid_axes(n: int, x_min: float, x_max: float) -> GridAxes:
-    """The shared axes of a geometry; the cache holds two geometries."""
-    return GridAxes(n, x_min, x_max)
+def _grid_spectral(n: int, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only (ascending momenta, FFT-order phase exp(-i p x_min))."""
+    p = 2.0 * math.pi * np.fft.fftfreq(n, d=(x_max - x_min) / n)
+    phase = np.exp(-1j * p * x_min)
+    return _read_only(np.fft.fftshift(p)), _read_only(phase)
 
 
 def _gaussian(xs: np.ndarray, center: float, denom: float) -> np.ndarray:
@@ -128,7 +116,8 @@ class GridWavefunction:
 
     @cached_property
     def xs(self) -> np.ndarray:
-        return grid_axes(self.n, self.x_min, self.x_max).xs
+        """Sample positions: shared by the geometry and read-only; copy before writing."""
+        return grid_xs(self.n, self.x_min, self.x_max)
 
     def norm_sq(self) -> float:
         return float(np.sum(_density(self.amplitudes)) * self.dx)
@@ -175,7 +164,7 @@ def gaussian_packet(
         raise ParameterError(
             f"grid spacing {dx:g} does not resolve width {width:g} (need dx <= width/4)"
         )
-    xs = grid_axes(n, x_min, x_max).xs
+    xs = grid_xs(n, x_min, x_max)
     amps = _gaussian(xs, center, 2.0 * width * width).astype(complex)
     wf = _owned_normalized(n, x_min, x_max, amps)
     if not contained(wf):
@@ -255,7 +244,7 @@ def gaussian_superposition(
         raise ParameterError(
             f"grid spacing {dx:g} does not resolve ell={params.ell:g} (need dx <= ell/8)"
         )
-    xs = grid_axes(n, lo, hi).xs
+    xs = grid_xs(n, lo, hi)
     big = _gaussian(xs, params.x1, 2.0 * params.L**2)
     big *= params.n1
     small = _gaussian(xs, params.x2, 2.0 * params.ell**2)
@@ -299,9 +288,10 @@ def momentum_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     """(momentum grid ascending, complex momentum amplitudes).
 
     Unitary convention: phi(p) = (1/sqrt(2*pi)) * integral psi(x) e^{-ipx} dx,
-    discretized so sum |phi_k|^2 dp = sum |psi_j|^2 dx exactly.
+    discretized so sum |phi_k|^2 dp = sum |psi_j|^2 dx exactly. The momentum
+    grid is shared by the geometry and read-only; copy it before writing.
     """
-    p, phase = grid_axes(wf.n, wf.x_min, wf.x_max).spectral
+    p, phase = _grid_spectral(wf.n, wf.x_min, wf.x_max)
     phi = np.fft.fft(wf.amplitudes)
     phi *= wf.dx
     phi /= math.sqrt(2.0 * math.pi)
@@ -322,7 +312,11 @@ def from_momentum_amplitudes(
 
 
 def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
-    """(momentum grid ascending, Born probabilities |phi_k|^2 dp)."""
+    """(momentum grid ascending, Born probabilities |phi_k|^2 dp).
+
+    The momentum grid is shared by the geometry and read-only; copy it before
+    writing.
+    """
     if not contained(wf):
         raise ParameterError("spectrum needs a contained wavefunction (boundary leakage)")
     p, phi = momentum_amplitudes(wf)

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
-from .grid import fine_grid_size, gaussian_packet, grid_axes
+from .grid import fine_grid_size, gaussian_packet, grid_xs
 from .register import NORM_TOL, Register, StateVector, matches, prune
 
 
@@ -283,7 +283,7 @@ class WeakJointState:
             raise ImpossibleOutcomeError("joint state has no weight to sample")
         cdf = (density / total).cumsum()
         cdf /= cdf[-1]
-        return cdf, grid_axes(self.n, self.x_min, self.x_max).xs
+        return cdf, grid_xs(self.n, self.x_min, self.x_max)
 
 
 def weak_measure(

@@ -134,31 +134,18 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-# A character that _fmt_str must escape.
+# A character that _fmt_str must escape, and the short escapes it has.
 _NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def _escape(m: re.Match) -> str:
+    ch = m.group()
+    return _SHORT_ESCAPES.get(ch) or "\\u%04x" % ord(ch)
 
 
 def _fmt_str(s: str) -> str:
-    if _NEEDS_ESCAPE.search(s) is None:
-        return '"' + s + '"'
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
 def _write_json(obj, out: list, indent: int) -> None:

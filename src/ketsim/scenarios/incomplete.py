@@ -52,12 +52,8 @@ def _run_partial_erasure(params, rng):
 
     q = 1.0 - eps
     rate = -math.log(q)
-    if rate == 0.0:
-        raise ParameterError(
-            f"eps={eps:g} rounds 1 - eps to 1, so no null step moves the state;"
-            f" the walk is capped at {_MAX_WALK_STEPS} steps"
-        )
-    k_expected = math.ceil(math.log(target / (1.0 - target)) / rate - 1e-9)
+    # 1 - eps rounds to 1 for eps below about 1.1e-16: no step moves the state
+    k_expected = math.ceil(math.log(target / (1.0 - target)) / rate - 1e-9) if rate else math.inf
     if k_expected > _MAX_WALK_STEPS:
         raise ParameterError(
             f"reaching target={target:g} at eps={eps:g} needs {k_expected} null steps;"
