@@ -50,6 +50,7 @@ from .measure import (
     erase_partial,
     joint_probability,
     partial_measure,
+    pointer_fidelities,
     pointer_readings,
     postselect,
     postselect_out,
@@ -110,6 +111,7 @@ __all__ = [
     "overlap",
     "partial_measure",
     "partial_trace",
+    "pointer_fidelities",
     "pointer_readings",
     "postselect",
     "postselect_out",

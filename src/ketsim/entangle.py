@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .register import StateVector
+from .register import StateVector, fold_sum
 
 EIG_FLOOR = 1e-12
 EIG_NEG_TOL = 1e-10
@@ -71,8 +71,9 @@ class SchmidtSpectrum:
             raise ValueError("coefficients must lie in (0, 1]")
         if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
             raise ValueError("coefficients must be descending")
-        if abs(sum(cs) - 1.0) > 1e-9:
-            raise ValueError(f"coefficients sum to {sum(cs)!r}, not 1 within 1e-9")
+        total = fold_sum(cs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"coefficients sum to {total!r}, not 1 within 1e-9")
 
 
 def _split_indices(state: StateVector, part: Iterable[str]) -> tuple[list[int], list[int]]:

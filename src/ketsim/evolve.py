@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .register import Register, StateVector, matches, prune
+from .register import Register, StateVector, fold_sum, matches, prune
 
 Matrix2 = Sequence[Sequence[complex]]
 
@@ -76,7 +76,7 @@ def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[compl
     # U†U = I within 1e-10
     for i in range(2):
         for j in range(2):
-            acc = sum(m[k][i].conjugate() * m[k][j] for k in range(2))
+            acc = fold_sum(m[k][i].conjugate() * m[k][j] for k in range(2))
             want = 1.0 if i == j else 0.0
             if abs(acc - want) > 1e-10:
                 raise ValueError("matrix is not unitary within 1e-10")
@@ -353,4 +353,4 @@ def recombine_probability(
     after = apply_split(state, subsystem, source_label, pair)
     si = state.register.index(subsystem)
     isrc = state.register.label_index(subsystem, source_label)
-    return float(sum(abs(a) ** 2 for k, a in after.amplitudes.items() if k[si] == isrc))
+    return float(fold_sum(abs(a) ** 2 for k, a in after.amplitudes.items() if k[si] == isrc))

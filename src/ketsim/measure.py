@@ -16,8 +16,16 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
-from .grid import fine_grid_size, gaussian_packet, grid_xs
-from .register import NORM_TOL, Register, StateVector, matches, prune
+from .grid import _density, fine_grid_size, gaussian_packet, grid_xs
+from .register import (
+    NORM_TOL,
+    Register,
+    StateVector,
+    amplitude_overlap,
+    fold_sum,
+    matches,
+    prune,
+)
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -76,7 +84,7 @@ def born_probabilities(state: StateVector, subsystem: str) -> dict[str, float]:
 def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> float:
     """Born weight of a partial assignment, without projecting."""
     items = state.register.partial_items(assignments)
-    return float(sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
+    return float(fold_sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
 
 
 def _conditioned(
@@ -86,7 +94,7 @@ def _conditioned(
     kept = {
         k: a for k, a in state.amplitudes.items() if matches(k, items) == keep_matching
     }
-    prob = float(sum(abs(a) ** 2 for a in kept.values()))
+    prob = float(fold_sum(abs(a) ** 2 for a in kept.values()))
     word = "" if keep_matching else "complement of "
     scale = conditioning_scale(prob, f"{word}{dict(assignments)}")
     post = StateVector(state.register, {k: a * scale for k, a in kept.items()})
@@ -175,7 +183,7 @@ def apply_partial_outcome(
 ) -> MeasurementRecord:
     """Deterministically apply one partial-readout outcome ('click'/'no-click')."""
     image = _partial_image(state, subsystem, monitored_label, _strength_eps(strength), outcome)
-    p = sum(abs(a) ** 2 for a in image.values())
+    p = fold_sum(abs(a) ** 2 for a in image.values())
     scale = conditioning_scale(p, f"partial outcome {outcome!r}")
     post = StateVector(state.register, {k: a * scale for k, a in prune(image).items()})
     return MeasurementRecord({subsystem: outcome}, p, post)
@@ -193,7 +201,7 @@ def partial_measure(
     eps = _strength_eps(strength)
     rng = as_generator(seed)
     click = _partial_image(state, subsystem, monitored_label, eps, "click")
-    p_click = sum(abs(a) ** 2 for a in click.values())
+    p_click = fold_sum(abs(a) ** 2 for a in click.values())
     outcome = "click" if rng.random() < p_click else "no-click"
     return apply_partial_outcome(state, subsystem, monitored_label, eps, outcome)
 
@@ -265,7 +273,7 @@ class WeakJointState:
 
     def norm_sq(self) -> float:
         return float(
-            sum(np.sum(np.abs(arr) ** 2) for arr in self.pointers.values()) * self.dx
+            fold_sum(np.sum(np.abs(arr) ** 2) for arr in self.pointers.values()) * self.dx
         )
 
     @cached_property
@@ -275,13 +283,18 @@ class WeakJointState:
         The cdf is normalized the way Generator.choice(p=...) normalizes it, so
         a searchsorted draw of one uniform picks the index choice would pick.
         A zero-weight joint raises here on every access: a cached_property
-        caches only a returned value.
+        caches only a returned value. The arithmetic runs in place, in the
+        order of sum(|arr|^2) * dx / total, so it holds two n-point arrays.
         """
-        density = sum(np.abs(arr) ** 2 for arr in self.pointers.values()) * self.dx
+        density = np.zeros(self.n)
+        for arr in self.pointers.values():
+            density += _density(arr)
+        density *= self.dx
         total = float(density.sum())
         if total <= PROB_FLOOR:
             raise ImpossibleOutcomeError("joint state has no weight to sample")
-        cdf = (density / total).cumsum()
+        density /= total
+        cdf = np.cumsum(density, out=density)
         cdf /= cdf[-1]
         return cdf, grid_xs(self.n, self.x_min, self.x_max)
 
@@ -315,7 +328,14 @@ def weak_measure(
     packets = {
         d: gaussian_packet(n, -half, half, d, params.sigma).amplitudes for d in set(shifts.values())
     }
-    pointers = {key: amp * packets[shifts[key[si]]] for key, amp in state.amplitudes.items()}
+    last = {shifts[key[si]]: key for key in state.amplitudes}
+    pointers = {}
+    for key, amp in state.amplitudes.items():
+        d = shifts[key[si]]
+        # A packet's last key scales the packet itself, scalar first as in
+        # amp * packet: packet *= amp rounds differently for a complex amp.
+        out = packets[d] if last[d] == key else None
+        pointers[key] = np.multiply(amp, packets[d], out=out)
     return WeakJointState(reg, n, -half, half, pointers)
 
 
@@ -326,18 +346,8 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     pointer barely disturbs the system; ensemble means of readings divided by
     g recover the observable's expectation value.
     """
-    cdf, xs = joint._sampler
-    rng = as_generator(seed)
-    j = int(cdf.searchsorted(rng.random(), side="right"))
-    reading = float(xs[j])
-    amps = {k: complex(arr[j]) for k, arr in joint.pointers.items()}
-    amps = prune(amps)
-    weight = sum(abs(a) ** 2 for a in amps.values())
-    # The position was drawn from the density, so its weight is positive;
-    # this floor only rejects a sample whose amplitudes underflow to zero.
-    scale = conditioning_scale(weight, f"pointer reading {reading!r}", floor=1e-300)
-    post = StateVector(joint.register, {k: a * scale for k, a in amps.items()})
-    return reading, post
+    ((reading, column),) = _shots(joint, seed, 1)
+    return reading, StateVector(joint.register, _collapse(joint.pointers, column, reading))
 
 
 def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
@@ -349,3 +359,42 @@ def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
     cdf, xs = joint._sampler
     rng = as_generator(seed)
     return xs[cdf.searchsorted(rng.random(shots), side="right")]
+
+
+def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> list[float]:
+    """Fidelity with `state` of the system after each of `shots` pointer readouts.
+
+    Returns fidelity(read_pointer(joint, rng)[1], state) for `shots`
+    successive calls, bit for bit, and leaves the generator where those calls
+    leave it. The draws and each branch's amplitudes at them are gathered in
+    one batch; each shot is then conditioned and overlapped in Python
+    scalars, as read_pointer and fidelity do it.
+    """
+    if state.register != joint.register:
+        raise ValueError("states live on different registers")
+    ref = state.amplitudes
+    return [
+        abs(amplitude_overlap(_collapse(joint.pointers, column, reading), ref)) ** 2
+        for reading, column in _shots(joint, seed, shots)
+    ]
+
+
+def _shots(joint: WeakJointState, seed, shots: int):
+    """(reading, column) for each of `shots` successive pointer draws, where
+    column holds each key's pointer amplitude at the drawn position."""
+    cdf, xs = joint._sampler
+    js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
+    return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers.values())))
+
+
+def _collapse(keys, column, reading: float) -> dict:
+    """System amplitudes after one pointer reading: the conditioning rule of
+    every pointer readout.
+
+    The position was drawn from the density, so its weight is positive; the
+    1e-300 floor only rejects a sample whose amplitudes underflow to zero.
+    """
+    kept = prune(dict(zip(keys, column)))
+    weight = fold_sum(abs(a) ** 2 for a in kept.values())
+    scale = conditioning_scale(weight, "pointer reading %r", reading, floor=1e-300)
+    return {k: a * scale for k, a in kept.items()}

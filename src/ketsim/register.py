@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 NORM_TOL = 1e-10
@@ -139,6 +140,16 @@ def new_register(specs: Iterable[SubsystemSpec | tuple[str, Sequence[str]]]) -> 
     return Register(built)
 
 
+def fold_sum(terms):
+    """Add terms left to right: Python 3.11's builtin sum, bit for bit.
+
+    Every float or complex reduction in ketsim goes through here, because
+    builtin sum compensates float rounding from Python 3.12 on and would move
+    the last digit of some reports. No terms give int 0, as sum() does.
+    """
+    return reduce(add, terms, 0)
+
+
 def matches(key: tuple[int, ...], items: tuple[tuple[int, int], ...]) -> bool:
     """True if the joint key agrees with every (subsystem, label) constraint."""
     return all(key[si] == li for si, li in items)
@@ -155,7 +166,7 @@ class StateVector:
     amplitudes: dict[tuple[int, ...], complex]
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(fold_sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
@@ -222,10 +233,15 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     """<a|b> over the shared register."""
     if a.register != b.register:
         raise ValueError("states live on different registers")
-    small, big = (a, b) if a.support() <= b.support() else (b, a)
+    return amplitude_overlap(a.amplitudes, b.amplitudes)
+
+
+def amplitude_overlap(a: Mapping, b: Mapping) -> complex:
+    """<a|b> of two amplitude maps on one register, walking the smaller map."""
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
     acc = 0j
-    for k, amp in small.amplitudes.items():
-        other = big.amplitudes.get(k)
+    for k, amp in small.items():
+        other = big.get(k)
         if other is not None:
             if small is a:
                 acc += amp.conjugate() * other

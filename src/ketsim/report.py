@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .register import StateVector
+from .register import StateVector, fold_sum
 
 TOP_K = 8
 
@@ -77,7 +77,7 @@ class Step:
     def __post_init__(self) -> None:
         if self.distribution is not None:
             _, probs = self.distribution
-            total = sum(probs.values())
+            total = fold_sum(probs.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"step distribution sums to {total!r}, not 1 within 1e-9")
 

@@ -19,11 +19,12 @@ from ..measure import (
     apply_partial_outcome,
     born_probabilities,
     erase_partial,
+    pointer_fidelities,
     pointer_readings,
     read_pointer,
     weak_measure,
 )
-from ..register import fidelity, new_register, superpose
+from ..register import fidelity, fold_sum, new_register, superpose
 from ..report import Check, make_step
 from . import ParamSpec, Scenario, guard
 
@@ -169,12 +170,7 @@ def _run_weak_ensemble(params, rng):
 
     # Ensemble statistics with a symmetric +-1 observable: mean reading 0.
     joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma))
-    total = 0.0
-    # Sequential addition, as one shot at a time would add: np.sum (pairwise)
-    # or builtin sum (compensated on Python >= 3.12) could move the last digit.
-    for reading in pointer_readings(joint, rng, n_shots).tolist():
-        total += reading
-    mean = total / n_shots
+    mean = fold_sum(pointer_readings(joint, rng, n_shots).tolist()) / n_shots
     se = math.sqrt(sigma * sigma / 2.0 + g * g) / math.sqrt(n_shots)
     checks.append(Check("ensemble_mean", "abs", 0.0, mean, 3.0 * se, "central-limit bound"))
     steps.append(
@@ -187,11 +183,7 @@ def _run_weak_ensemble(params, rng):
     # Disturbance: a pointer twenty times wider than its kick leaves the
     # system almost untouched, averaged over outcomes.
     joint1 = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma_single))
-    fid_total = 0.0
-    for _ in range(singles):
-        _reading, post = read_pointer(joint1, rng)
-        fid_total += fidelity(post, state)
-    mean_fid = fid_total / singles
+    mean_fid = fold_sum(pointer_fidelities(joint1, state, rng, singles)) / singles
     overlap_bound = 0.5 * (1.0 + math.exp(-g * g / (4.0 * sigma_single * sigma_single)))
     checks.append(Check("single_shot_fidelity", "ge", 0.999, mean_fid, 0.0, "gentleness threshold"))
     checks.append(

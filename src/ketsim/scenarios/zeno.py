@@ -21,7 +21,7 @@ from ..entangle import cut_entropy, schmidt
 from ..errors import ParameterError
 from ..evolve import apply_basis_change, apply_rotation, controlled_relabel
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
-from ..register import amplitude, new_register, superpose
+from ..register import amplitude, fold_sum, new_register, superpose
 from ..report import Check, make_step
 from . import HADAMARD, ParamSpec, Scenario, guard
 
@@ -255,7 +255,7 @@ def _ghost_reference(alpha: float, n: int) -> dict:
                 if br:
                     v[2] = 0.0
             branches[(bl, br)] = 0.5 * v
-    p_kept = float(sum(np.dot(v, v) for v in branches.values()))
+    p_kept = float(fold_sum(np.dot(v, v) for v in branches.values()))
     found = np.array(
         [
             [branches[(True, True)][0], branches[(True, False)][0]],

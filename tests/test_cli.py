@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ketsim
 import ketsim.cli as cli
 from ketsim.scenarios import StepFailure
 
@@ -168,6 +173,18 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+def test_python_dash_m_ketsim_runs_the_cli():
+    src = str(Path(ketsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ketsim", "run", "qo_core", "--param", "bogus=1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ketsim: ")
 
 
 def test_sweep_zeno_alpha_monotone(capsys):

@@ -13,6 +13,8 @@ moved and why. To print the current hashes:
 """
 
 import hashlib
+import math
+import sys
 
 import numpy as np
 
@@ -84,11 +86,57 @@ def print_hashes() -> None:
         print(f'    "{key}": "{digest}",')
 
 
-def test_report_bytes_match_golden_hashes():
+def moved_entries() -> list[str]:
     now = current_hashes()
-    moved = [
+    return [
         f"{key}: {GOLDEN.get(key)} -> {now.get(key)}"
         for key in sorted(set(GOLDEN) | set(now))
         if GOLDEN.get(key) != now.get(key)
     ]
+
+
+def test_report_bytes_match_golden_hashes():
+    moved = moved_entries()
     assert not moved, "report bytes moved:\n" + "\n".join(moved)
+
+
+def compensated_sum(iterable, start=0):
+    """Python 3.12's builtin sum, emulated: Neumaier-compensated while the
+    running total and every term are exact floats (ints are added exactly
+    first, as the builtin does); any other term ends compensation."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    comp = 0.0
+    for item in items:
+        if type(item) is float or type(item) is int or type(item) is bool:
+            x = float(item)
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+            continue
+        if comp and math.isfinite(comp):
+            total += comp
+        total = total + item
+        for rest in items:
+            total = total + rest
+        return total
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_report_bytes_do_not_depend_on_a_compensated_builtin_sum(monkeypatch):
+    # Every float reduction must fold left to right, so a newer Python's
+    # compensated builtin sum cannot move a report byte.
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0 != sum([1e16, 1.0, -1e16])
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "ketsim" or name.startswith("ketsim.")):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    moved = moved_entries()
+    assert not moved, "report bytes moved under a compensated sum:\n" + "\n".join(moved)

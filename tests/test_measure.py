@@ -18,6 +18,7 @@ from ketsim import (
     joint_probability,
     new_register,
     partial_measure,
+    pointer_fidelities,
     pointer_readings,
     postselect,
     postselect_out,
@@ -27,6 +28,8 @@ from ketsim import (
     superpose,
     weak_measure,
 )
+from ketsim.errors import conditioning_scale
+from ketsim.grid import gaussian_packet
 from ketsim.measure import WeakJointState
 
 import oracles
@@ -329,6 +332,57 @@ def test_read_pointer_draws_the_index_generator_choice_draws():
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def spin_state(*terms):
+    reg = new_register([("spin", ("up", "down"))])
+    return superpose(reg, [(c, {"spin": label}) for c, label in terms])
+
+
+@pytest.mark.parametrize("g", [0.5, 1.5, 50.0])
+@pytest.mark.parametrize("sigma", [20.0, 5.0, 1.0])
+def test_pointer_fidelities_match_read_pointer_then_fidelity(g, sigma):
+    state = spin_state((1.0, "up"), (1.0, "down"))
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma))
+    references = (
+        state,
+        spin_state((0.6, "up"), (0.8 * cmath.exp(0.7j), "down")),
+        spin_state((1.0, "up"),),  # smaller support than a post state
+    )
+    pruned = 0
+    for seed, ref in enumerate(references):
+        one_by_one = np.random.default_rng(seed)
+        posts = [read_pointer(joint, one_by_one)[1] for _ in range(200)]
+        batched = np.random.default_rng(seed)
+        assert pointer_fidelities(joint, ref, batched, 200) == [fidelity(p, ref) for p in posts]
+        assert batched.bit_generator.state == one_by_one.bit_generator.state
+        pruned += sum(p.support() == 1 for p in posts)
+    if (g, sigma) == (50.0, 1.0):
+        assert pruned == 600  # every shot keeps one branch
+
+
+def test_weak_joint_arrays_match_out_of_place_formulas():
+    # weak_measure and the sampler run in place to save n-point arrays; the
+    # out-of-place expressions they replace must give the same bits.
+    reg = spin_register()
+    state = superpose(
+        reg,
+        [
+            (0.6, {"spin": "up", "tag": "t0"}),
+            (0.3 + 0.4j, {"spin": "up", "tag": "t1"}),
+            (0.8 * cmath.exp(0.7j), {"spin": "down", "tag": "t0"}),
+        ],
+    )
+    params = WeakParams(g=1.5, sigma=2.0)
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, params)
+    for key, amp in state.amplitudes.items():
+        center = params.g if key[0] == 0 else -params.g
+        packet = gaussian_packet(joint.n, joint.x_min, joint.x_max, center, params.sigma)
+        assert np.array_equal(joint.pointers[key].view(float), (amp * packet.amplitudes).view(float))
+    density = sum(np.abs(arr) ** 2 for arr in joint.pointers.values()) * joint.dx
+    cdf = (density / float(density.sum())).cumsum()
+    cdf /= cdf[-1]
+    assert np.array_equal(joint._sampler[0], cdf)
+
+
 def test_zero_weight_joint_raises_on_every_call():
     reg = spin_register()
     key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
@@ -338,3 +392,15 @@ def test_zero_weight_joint_raises_on_every_call():
             read_pointer(joint, 0)
         with pytest.raises(ImpossibleOutcomeError):
             pointer_readings(joint, 0, 10)
+        with pytest.raises(ImpossibleOutcomeError):
+            pointer_fidelities(joint, superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})]), 0, 10)
+
+
+def test_pointer_refusal_names_the_reading():
+    # The per-shot path passes the reading as an argument; it is formatted
+    # into the message only when the shot is refused.
+    with pytest.raises(ImpossibleOutcomeError, match=r"^pointer reading 0\.25 has Born weight 0;"):
+        conditioning_scale(0.0, "pointer reading %r", 0.25, floor=1e-300)
+    # without arguments the outcome is used verbatim, '%' and all
+    with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome '50%' has"):
+        conditioning_scale(0.0, "partial outcome '50%'")

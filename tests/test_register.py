@@ -13,7 +13,7 @@ from ketsim import (
     overlap,
     superpose,
 )
-from ketsim.register import PRUNE_TOL, prune
+from ketsim.register import PRUNE_TOL, fold_sum, prune
 
 import oracles
 
@@ -118,6 +118,15 @@ def test_normalized_rejects_zero_state():
 def test_prune_drops_dust():
     amps = {(0, 0): 1.0 + 0j, (1, 1): PRUNE_TOL / 2}
     assert set(prune(amps)) == {(0, 0)}
+
+
+def test_fold_sum_adds_left_to_right():
+    # A compensated sum (Python >= 3.12's builtin on floats) would give 1.0.
+    assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+    assert fold_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert fold_sum([1j, 2.0]) == 2.0 + 1j
+    empty = fold_sum([])
+    assert empty == 0 and type(empty) is int
 
 
 def test_overlap_conjugate_symmetry_and_mismatch():
