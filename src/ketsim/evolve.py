@@ -55,18 +55,22 @@ def _apply_label_matrix(
 
     Keys whose label is outside `label_indices` pass through untouched.
     """
-    pos = {li: p for p, li in enumerate(label_indices)}
+    # Each input label's column: (output label, coefficient), zeros dropped,
+    # in row order, so sums add in the same order as a row-by-row walk.
+    columns = {
+        li: [(lj, matrix[j][p]) for j, lj in enumerate(label_indices) if matrix[j][p] != 0]
+        for p, li in enumerate(label_indices)
+    }
     new_amps: dict[tuple[int, ...], complex] = {}
     for key, amp in state.amplitudes.items():
-        p = pos.get(key[sub_index])
-        if p is None:
+        column = columns.get(key[sub_index])
+        if column is None:
             new_amps[key] = new_amps.get(key, 0j) + amp
             continue
-        for j, lj in enumerate(label_indices):
-            c = matrix[j][p]
-            if c == 0:
-                continue
-            nk = key[:sub_index] + (lj,) + key[sub_index + 1 :]
+        head = key[:sub_index]
+        tail = key[sub_index + 1 :]
+        for lj, c in column:
+            nk = head + (lj,) + tail
             new_amps[nk] = new_amps.get(nk, 0j) + c * amp
     return StateVector(state.register, prune(new_amps))
 
@@ -76,7 +80,8 @@ def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[compl
     # U†U = I within 1e-10
     for i in range(2):
         for j in range(2):
-            acc = fold_sum(m[k][i].conjugate() * m[k][j] for k in range(2))
+            # (0 + a) + b: the order fold_sum adds two terms in
+            acc = (0 + m[0][i].conjugate() * m[0][j]) + m[1][i].conjugate() * m[1][j]
             want = 1.0 if i == j else 0.0
             if abs(acc - want) > 1e-10:
                 raise ValueError("matrix is not unitary within 1e-10")

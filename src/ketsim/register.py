@@ -152,7 +152,10 @@ def fold_sum(terms):
 
 def matches(key: tuple[int, ...], items: tuple[tuple[int, int], ...]) -> bool:
     """True if the joint key agrees with every (subsystem, label) constraint."""
-    return all(key[si] == li for si, li in items)
+    for si, li in items:
+        if key[si] != li:
+            return False
+    return True
 
 
 @dataclass

@@ -17,6 +17,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .register import StateVector, fold_sum
@@ -144,63 +145,79 @@ def _escape(m: re.Match) -> str:
     return _SHORT_ESCAPES.get(ch) or "\\u%04x" % ord(ch)
 
 
+# Keys, labels and notes repeat within a report and across reports.
+@lru_cache(maxsize=4096)
 def _fmt_str(s: str) -> str:
     return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
-def _write_json(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(inner)
-            out.append(_fmt_str(str(k)))
-            out.append(": ")
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if scalars and len(obj) <= 4:
-            out.append("[")
-            for i, v in enumerate(obj):
-                _write_json(v, out, indent)
-                if i < len(obj) - 1:
-                    out.append(", ")
-            out.append("]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(inner)
-            _write_json(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(_fmt_str(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _fmt_bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _fmt_null(_) -> str:
+    return "null"
+
+
+# Formatter of each scalar type, looked up by exact type. Instances of
+# subclasses (np.float64, IntEnum) miss it and go through _json_type.
+_SCALARS = {float: _fmt_float, str: _fmt_str, bool: _fmt_bool, int: str, type(None): _fmt_null}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_type(obj) -> type:
+    """The serialized type of an instance of a subclass (np.float64, IntEnum, ...)."""
+    for base in (dict, list, tuple, bool, int, float, str):
+        if isinstance(obj, base):
+            return base
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _dump(obj, pad: str) -> str:
+    """JSON text of obj, a value on a line indented by `pad`.
+
+    Layout: two-space indent, every dict multiline, lists and tuples of at
+    most four scalars inline and every other one multiline.
+    """
+    kind = type(obj)
+    fmt = _SCALARS.get(kind)
+    if fmt is not None:
+        return fmt(obj)
+    if kind not in _CONTAINERS:
+        kind = _json_type(obj)
+        fmt = _SCALARS.get(kind)
+        if fmt is not None:
+            return fmt(obj)
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    parts = []
+    if kind is dict:
+        for k, v in obj.items():
+            fmt = _SCALARS.get(type(v))
+            parts.append(_fmt_str(str(k)) + ": " + (fmt(v) if fmt is not None else _dump(v, inner)))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    nested = False
+    for v in obj:
+        fmt = _SCALARS.get(type(v))
+        if fmt is not None:
+            parts.append(fmt(v))
+        else:
+            nested = nested or isinstance(v, _CONTAINERS)
+            parts.append(_dump(v, inner))
+    if not nested and len(parts) <= 4:
+        return "[" + ", ".join(parts) + "]"
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
 
 
 def dumps_json(obj) -> str:
-    out: list[str] = []
-    _write_json(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """obj as JSON text in the layout of _dump, with a final newline.
+
+    Floats carry 17 significant digits and non-finite ones raise ValueError;
+    a value of any type but dict, list, tuple, str, int, float, bool or None
+    (or a subclass of one) raises TypeError.
+    """
+    return _dump(obj, "") + "\n"
 
 
 def report_to_jsonable(report: ScenarioReport) -> dict:

@@ -11,6 +11,7 @@ joint basis states) that this is never a bottleneck.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -142,3 +143,80 @@ def random_state(register, rng: np.random.Generator):
         key = tuple(int(x) for x in np.unravel_index(flat, dims))
         amps[key] = complex(amp)
     return StateVector(register, amps)
+
+
+# Reference JSON writer for report.dumps_json: one recursive call per node
+# and an isinstance chain per value, with its own string escaping.
+_REF_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_REF_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def _ref_escape(m: re.Match) -> str:
+    ch = m.group()
+    return _REF_SHORT_ESCAPES.get(ch) or "\\u%04x" % ord(ch)
+
+
+def _ref_fmt_str(s: str) -> str:
+    return '"' + _REF_NEEDS_ESCAPE.sub(_ref_escape, s) + '"'
+
+
+def _ref_fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return "%.17g" % x
+
+
+def _ref_write_json(obj, out: list, indent: int) -> None:
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (k, v) in enumerate(obj.items()):
+            out.append(inner)
+            out.append(_ref_fmt_str(str(k)))
+            out.append(": ")
+            _ref_write_json(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        if scalars and len(obj) <= 4:
+            out.append("[")
+            for i, v in enumerate(obj):
+                _ref_write_json(v, out, indent)
+                if i < len(obj) - 1:
+                    out.append(", ")
+            out.append("]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(obj):
+            out.append(inner)
+            _ref_write_json(v, out, indent + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_ref_fmt_float(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, str):
+        out.append(_ref_fmt_str(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps_json(obj) -> str:
+    """report.dumps_json's bytes, from the recursive isinstance-chain writer."""
+    out: list[str] = []
+    _ref_write_json(obj, out, 0)
+    out.append("\n")
+    return "".join(out)

@@ -19,6 +19,8 @@ from ketsim import (
     superpose,
     time_reverse,
 )
+from ketsim.evolve import _apply_label_matrix, _check_unitary_2x2
+from ketsim.register import PRUNE_TOL, StateVector, prune
 
 import oracles
 
@@ -281,3 +283,84 @@ def test_recombine_probability_rejects_repeated_labels(pair, source):
     state = superpose(reg, [(1.0, {"p": "l1", "spin": "up"})])
     with pytest.raises(ValueError, match="three distinct labels"):
         recombine_probability(state, "p", pair, source)
+
+
+def row_walk_label_matrix(amplitudes, sub_index, label_indices, matrix):
+    # Reference: _apply_label_matrix as a walk over the matrix rows for
+    # each key. The per-label columns must give the same bits in the same
+    # key order.
+    pos = {li: p for p, li in enumerate(label_indices)}
+    new_amps = {}
+    for key, amp in amplitudes.items():
+        p = pos.get(key[sub_index])
+        if p is None:
+            new_amps[key] = new_amps.get(key, 0j) + amp
+            continue
+        for j, lj in enumerate(label_indices):
+            c = matrix[j][p]
+            if c == 0:
+                continue
+            nk = key[:sub_index] + (lj,) + key[sub_index + 1 :]
+            new_amps[nk] = new_amps.get(nk, 0j) + c * amp
+    return prune(new_amps)
+
+
+def wide_register():
+    return new_register(
+        [("m", ("a", "b")), ("p", ("src", "l1", "l2", "z_up", "z_down", "idle")), ("t", ("0", "1", "2"))]
+    )
+
+
+SPLITTER = ((0.0, S2, S2), (S2, 0.5, -0.5), (S2, -0.5, 0.5))
+ROTATION = ((math.cos(0.3), -math.sin(0.3)), (math.sin(0.3), math.cos(0.3)))
+_U = _check_unitary_2x2(((0.6, 0.8j), (0.8j, 0.6)))
+_Z = 0j
+BLOCK = (
+    (_Z, _Z, _U[0][0], _U[0][1]),
+    (_Z, _Z, _U[1][0], _U[1][1]),
+    (_U[0][0], _U[0][1], _Z, _Z),
+    (_U[1][0], _U[1][1], _Z, _Z),
+)
+LABEL_MATRICES = [
+    ((0, 1, 2), SPLITTER),
+    ((1, 2), ROTATION),
+    ((4, 2), ROTATION),
+    ((1, 2, 3, 4), BLOCK),
+]
+
+
+def bits(amplitudes):
+    return [(k, a.real.hex(), a.imag.hex()) for k, a in amplitudes.items()]
+
+
+@pytest.mark.parametrize("labels, matrix", LABEL_MATRICES)
+@pytest.mark.parametrize("seed", range(6))
+def test_label_matrix_matches_the_row_by_row_walk(labels, matrix, seed):
+    reg = wide_register()
+    rng = np.random.default_rng(seed)
+    keys = list(reg.keys())
+    # a random sparse support in random order, with keys on labels the
+    # matrix does not touch (z_up, z_down, idle) that pass through unchanged
+    chosen = rng.permutation(len(keys))[: rng.integers(1, len(keys))]
+    amps = {keys[i]: complex(rng.normal(), rng.normal()) for i in chosen}
+    amps[keys[chosen[0]]] = complex(-0.0, rng.normal())
+    state = StateVector(reg, amps)
+    out = _apply_label_matrix(state, 1, labels, matrix)
+    ref = row_walk_label_matrix(amps, 1, labels, matrix)
+    assert list(out.amplitudes.items()) == list(ref.items())
+    assert bits(out.amplitudes) == bits(ref)
+
+
+def test_label_matrix_prunes_amplitudes_that_cancel():
+    reg = wide_register()
+    # Equal arm amplitudes leave the arms through the splitter's return pass:
+    # the arm terms cancel to 0, or to dust one ulp apart, and are pruned,
+    # next to an idle key that passes through.
+    for a2 in (S2, math.nextafter(S2, 1.0)):
+        amps = {(0, 1, 0): S2 + 0j, (1, 5, 2): 0.5j, (0, 2, 0): complex(a2)}
+        raw = 0.5 * S2 - 0.5 * a2
+        assert abs(raw) < PRUNE_TOL
+        out = _apply_label_matrix(StateVector(reg, amps), 1, (0, 1, 2), SPLITTER)
+        ref = row_walk_label_matrix(amps, 1, (0, 1, 2), SPLITTER)
+        assert list(out.amplitudes.items()) == list(ref.items())
+        assert list(out.amplitudes) == [(0, 0, 0), (1, 5, 2)]

@@ -13,7 +13,7 @@ from ketsim import (
     overlap,
     superpose,
 )
-from ketsim.register import PRUNE_TOL, fold_sum, prune
+from ketsim.register import PRUNE_TOL, fold_sum, matches, prune
 
 import oracles
 
@@ -127,6 +127,23 @@ def test_fold_sum_adds_left_to_right():
     assert fold_sum([1j, 2.0]) == 2.0 + 1j
     empty = fold_sum([])
     assert empty == 0 and type(empty) is int
+
+
+@pytest.mark.parametrize(
+    "items, expected",
+    [
+        ((), True),
+        (((0, 2),), True),
+        (((0, 1),), False),
+        (((1, 0), (2, 1)), True),
+        (((2, 1), (1, 0), (0, 2)), True),
+        (((1, 1), (2, 1)), False),
+        (((1, 0), (2, 0)), False),
+        (((0, 2), (0, 1)), False),
+    ],
+)
+def test_matches_truth_table(items, expected):
+    assert matches((2, 0, 1), items) is expected
 
 
 def test_overlap_conjugate_symmetry_and_mismatch():

@@ -1,10 +1,13 @@
+import collections
+import enum
 import json
 import math
 
 import numpy as np
 import pytest
 
-from ketsim import new_register, superpose
+import ketsim.cli as cli
+from ketsim import new_register, run_scenario, superpose
 from ketsim.report import (
     Check,
     ScenarioReport,
@@ -18,6 +21,9 @@ from ketsim.report import (
     sweep_to_csv,
     write_output,
 )
+from ketsim.scenarios import catalog
+
+import oracles
 
 
 def small_report(passed=True):
@@ -117,6 +123,96 @@ def test_string_escapes_follow_the_per_character_rules():
         escaped = named.get(ch, "\\u%04x" % code if code < 0x20 else ch)
         assert dumps_json("a" + ch + "b") == '"a' + escaped + 'b"\n'
         assert json.loads(dumps_json(ch)) == ch
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_dumps_json_matches_the_reference_writer_on_every_report(name, seed):
+    data = report_to_jsonable(run_scenario(name, seed=seed))
+    assert dumps_json(data) == oracles.reference_dumps_json(data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("list", "--format", "json"),
+        ("sweep", "zeno_basic", "--param", "alpha=0.05:0.2:3", "--format", "json"),
+    ],
+)
+def test_dumps_json_matches_the_reference_writer_on_cli_payloads(argv, monkeypatch, capsys):
+    payloads = []
+
+    def recording(obj):
+        payloads.append(obj)
+        return dumps_json(obj)
+
+    monkeypatch.setattr(cli, "dumps_json", recording)
+    cli.main(list(argv))
+    assert len(payloads) == 1
+    assert capsys.readouterr().out == oracles.reference_dumps_json(payloads[0])
+
+
+class Kind(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+Pair = collections.namedtuple("Pair", "a b")
+
+EDGE_INPUTS = [
+    {},
+    [],
+    (),
+    [1, 2.5, "a", None],
+    [1, 2.5, "a", None, True],
+    (1, 2, 3, 4),
+    [1, [2]],
+    [1, {}],
+    [[]],
+    ({"a": 1},),
+    {"outer": {"inner": [1, {"deep": ()}], "empty": {}}},
+    {1: "int", 0.5: "float", None: "none", False: "bool", (1, 2): "tuple", Kind.HIGH: "enum"},
+    {"t": True, "f": False, "flags": [True, False]},
+    {"kind": Kind.LOW, "kinds": [Kind.LOW, Kind.HIGH]},
+    {"x": np.float64(0.1), "xs": [np.float64(1 / 3), 2.0], "big": np.float64(1e300)},
+    Pair(1.5, "b"),
+    [Pair(1, 2), 3],
+    "".join(chr(c) for c in range(0x20)),
+    {"".join(chr(c) for c in range(0x20)): '"\\'},
+    ['"', "\\", "caf\u00e9 \u03c8 \U0001f600", "mixed \" \\ \n \x7f \u00a0"],
+    0,
+    -0.0,
+    5e-324,
+    True,
+    None,
+    "",
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_INPUTS)
+def test_dumps_json_matches_the_reference_writer_on_edge_inputs(obj):
+    assert dumps_json(obj) == oracles.reference_dumps_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (float("nan"), ValueError),
+        ({"a": [1.0, float("inf")]}, ValueError),
+        ([-math.inf], ValueError),
+        (np.float64("nan"), ValueError),
+        (np.int64(1), TypeError),
+        ({"n": np.int64(1)}, TypeError),
+        ([object()], TypeError),
+        ({"a": {"b": object()}}, TypeError),
+    ],
+)
+def test_dumps_json_refuses_what_the_reference_writer_refuses(obj, error):
+    with pytest.raises(error) as new:
+        dumps_json(obj)
+    with pytest.raises(error) as ref:
+        oracles.reference_dumps_json(obj)
+    assert str(new.value) == str(ref.value)
 
 
 def test_report_to_csv_shape():
