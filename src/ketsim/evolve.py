@@ -80,8 +80,7 @@ def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[compl
     # U†U = I within 1e-10
     for i in range(2):
         for j in range(2):
-            # (0 + a) + b: the order fold_sum adds two terms in
-            acc = (0 + m[0][i].conjugate() * m[0][j]) + m[1][i].conjugate() * m[1][j]
+            acc = m[0][i].conjugate() * m[0][j] + m[1][i].conjugate() * m[1][j]
             want = 1.0 if i == j else 0.0
             if abs(acc - want) > 1e-10:
                 raise ValueError("matrix is not unitary within 1e-10")
