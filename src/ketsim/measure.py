@@ -19,9 +19,9 @@ from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditio
 from .grid import _density, fine_grid_size, gaussian_packet, grid_xs
 from .register import (
     NORM_TOL,
+    PRUNE_TOL,
     Register,
     StateVector,
-    amplitude_overlap,
     fold_sum,
     matches,
     prune,
@@ -344,10 +344,16 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
 
     Returns (position reading, normalized post-readout system state). A wide
     pointer barely disturbs the system; ensemble means of readings divided by
-    g recover the observable's expectation value.
+    g recover the observable's expectation value. This is one shot of
+    _collapse_shots, the conditioning rule that pointer_fidelities batches.
     """
-    ((reading, column),) = _shots(joint, seed, 1)
-    return reading, StateVector(joint.register, _collapse(joint.pointers, column, reading))
+    (reading,), kept, re, im = _collapse_shots(joint, seed, 1)
+    post = {
+        k: complex(a, b)
+        for k, keep, a, b in zip(joint.pointers, kept[:, 0].tolist(), re[:, 0].tolist(), im[:, 0].tolist())
+        if keep
+    }
+    return reading, StateVector(joint.register, post)
 
 
 def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
@@ -366,35 +372,83 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
 
     Returns fidelity(read_pointer(joint, rng)[1], state) for `shots`
     successive calls, bit for bit, and leaves the generator where those calls
-    leave it. The draws and each branch's amplitudes at them are gathered in
-    one batch; each shot is then conditioned and overlapped in Python
-    scalars, as read_pointer and fidelity do it.
+    leave it. All shots are drawn and conditioned in one _collapse_shots
+    batch, and each overlap adds its terms in amplitude_overlap's order: the
+    post state's keys in joint order when it is no larger than `state`, else
+    `state`'s keys in its own order.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
+    _, kept, re, im = _collapse_shots(joint, seed, shots)
     ref = state.amplitudes
-    return [
-        abs(amplitude_overlap(_collapse(joint.pointers, column, reading), ref)) ** 2
-        for reading, column in _shots(joint, seed, shots)
-    ]
+    rows = {k: i for i, k in enumerate(joint.pointers)}
+    by_joint = [(rows[k], ref[k]) for k in joint.pointers if k in ref]
+    by_ref = [(rows[k], a) for k, a in ref.items() if k in rows]
+    acc_re, acc_im = _overlap_sums(by_joint, kept, re, im)
+    if by_ref != by_joint:
+        walk_ref = kept.sum(axis=0) > len(ref)
+        ref_re, ref_im = _overlap_sums(by_ref, kept, re, im)
+        acc_re = np.where(walk_ref, ref_re, acc_re)
+        acc_im = np.where(walk_ref, ref_im, acc_im)
+    return _squares(np.hypot(acc_re, acc_im))
 
 
-def _shots(joint: WeakJointState, seed, shots: int):
-    """(reading, column) for each of `shots` successive pointer draws, where
-    column holds each key's pointer amplitude at the drawn position."""
+# The batch below reproduces CPython's scalar arithmetic bit for bit, so it
+# uses only numpy operations that round as the scalar ones do: np.hypot for
+# abs(complex), Python's float ** 2 for abs(a) ** 2 (glibc pow is not
+# correctly rounded, so np.square and x * x differ from it), and separate
+# real multiplies and adds for every complex product (numpy's complex
+# multiply may fuse them). README.md has the measured table.
+
+
+def _collapse_shots(joint: WeakJointState, seed, shots: int):
+    """Draw `shots` pointer positions and condition the system on each: the
+    conditioning rule of every pointer readout.
+
+    Returns (readings, kept, re, im). readings is a list of floats; kept,
+    re and im have one row per key of joint.pointers, in order, and one
+    column per shot. kept says whether the branch survives pruning, and re
+    and im hold its post-readout amplitude where it does. Each shot gives
+    the bits of prune, a fold_sum weight, conditioning_scale and a * scale
+    over that shot's amplitudes. The position was drawn from the density,
+    so its weight is positive; the 1e-300 floor only rejects a sample whose
+    amplitudes underflow to zero, and names the first such reading.
+    """
     cdf, xs = joint._sampler
     js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
-    return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers.values())))
+    column = np.array([arr[js] for arr in joint.pointers.values()])
+    re, im = column.real, column.imag
+    mag = np.hypot(re, im)
+    kept = mag > PRUNE_TOL
+    sq = np.reshape(_squares(mag), mag.shape)
+    weight = np.zeros(shots)
+    for keep, s in zip(kept, sq):
+        weight = np.where(keep, weight + s, weight)
+    readings = xs[js].tolist()
+    refused = np.flatnonzero(weight <= 1e-300)
+    if refused.size:
+        i = refused[0]
+        conditioning_scale(float(weight[i]), "pointer reading %r", readings[i], floor=1e-300)
+    scale = 1.0 / np.sqrt(weight)
+    # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
+    return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
 
 
-def _collapse(keys, column, reading: float) -> dict:
-    """System amplitudes after one pointer reading: the conditioning rule of
-    every pointer readout.
+def _overlap_sums(pairs, kept, re, im) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts, per shot, of the sum of conj(post) * b over
+    (row, b) pairs in the given order, skipping pruned branches: the acc of
+    amplitude_overlap."""
+    acc_re = np.zeros(kept.shape[1])
+    acc_im = np.zeros(kept.shape[1])
+    for i, b in pairs:
+        b = complex(b)
+        pr, npi = re[i], -im[i]
+        # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
+        acc_re = np.where(kept[i], acc_re + (pr * b.real - npi * b.imag), acc_re)
+        acc_im = np.where(kept[i], acc_im + (pr * b.imag + npi * b.real), acc_im)
+    return acc_re, acc_im
 
-    The position was drawn from the density, so its weight is positive; the
-    1e-300 floor only rejects a sample whose amplitudes underflow to zero.
-    """
-    kept = prune(dict(zip(keys, column)))
-    weight = fold_sum(abs(a) ** 2 for a in kept.values())
-    scale = conditioning_scale(weight, "pointer reading %r", reading, floor=1e-300)
-    return {k: a * scale for k, a in kept.items()}
+
+def _squares(values: np.ndarray) -> list[float]:
+    """v ** 2 of each value in Python floats, flattened."""
+    return [v ** 2 for v in values.ravel().tolist()]

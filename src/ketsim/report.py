@@ -162,8 +162,10 @@ def _fmt_null(_) -> str:
 
 
 # Formatter of each scalar type, looked up by exact type. Instances of
-# subclasses (np.float64, IntEnum) miss it and go through _json_type.
+# subclasses (np.float64, IntEnum) miss it and go through _json_type, which
+# writes an int subclass by value: Python 3.10's str(IntEnum) is its name.
 _SCALARS = {float: _fmt_float, str: _fmt_str, bool: _fmt_bool, int: str, type(None): _fmt_null}
+_SUBCLASS_SCALARS = {**_SCALARS, int: int.__repr__}
 _CONTAINERS = (dict, list, tuple)
 
 
@@ -173,6 +175,13 @@ def _json_type(obj) -> type:
         if isinstance(obj, base):
             return base
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _key_text(k) -> str:
+    """A non-str dict key as text; an int subclass (IntEnum) by its value."""
+    if isinstance(k, int) and not isinstance(k, bool):
+        return int.__repr__(k)
+    return str(k)
 
 
 def _dump(obj, pad: str) -> str:
@@ -187,7 +196,7 @@ def _dump(obj, pad: str) -> str:
         return fmt(obj)
     if kind not in _CONTAINERS:
         kind = _json_type(obj)
-        fmt = _SCALARS.get(kind)
+        fmt = _SUBCLASS_SCALARS.get(kind)
         if fmt is not None:
             return fmt(obj)
     if not obj:
@@ -197,7 +206,8 @@ def _dump(obj, pad: str) -> str:
     if kind is dict:
         for k, v in obj.items():
             fmt = _SCALARS.get(type(v))
-            parts.append(_fmt_str(str(k)) + ": " + (fmt(v) if fmt is not None else _dump(v, inner)))
+            key = k if type(k) is str else _key_text(k)
+            parts.append(_fmt_str(key) + ": " + (fmt(v) if fmt is not None else _dump(v, inner)))
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
     nested = False
     for v in obj:

@@ -176,7 +176,8 @@ def _ref_write_json(obj, out: list, indent: int) -> None:
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(inner)
-            out.append(_ref_fmt_str(str(k)))
+            int_key = isinstance(k, int) and not isinstance(k, bool)
+            out.append(_ref_fmt_str(int.__repr__(k) if int_key else str(k)))
             out.append(": ")
             _ref_write_json(v, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
@@ -203,7 +204,7 @@ def _ref_write_json(obj, out: list, indent: int) -> None:
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, int):
-        out.append(str(obj))
+        out.append(int.__repr__(obj))
     elif isinstance(obj, float):
         out.append(_ref_fmt_float(obj))
     elif obj is None:
@@ -220,3 +221,46 @@ def reference_dumps_json(obj) -> str:
     _ref_write_json(obj, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+# Reference pointer readout: each shot conditioned in Python scalars, as
+# measure.read_pointer and measure.pointer_fidelities did before they shared
+# one numpy batch. The batch must give these bits exactly.
+def _ref_shots(joint, seed, shots: int):
+    """(reading, column) for each of `shots` successive pointer draws, where
+    column holds each key's pointer amplitude at the drawn position."""
+    from ketsim.measure import as_generator
+
+    cdf, xs = joint._sampler
+    js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
+    return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers.values())))
+
+
+def _ref_collapse(keys, column, reading: float) -> dict:
+    """System amplitudes after one pointer reading, in Python scalars."""
+    from ketsim.errors import conditioning_scale
+    from ketsim.register import fold_sum, prune
+
+    kept = prune(dict(zip(keys, column)))
+    weight = fold_sum(abs(a) ** 2 for a in kept.values())
+    scale = conditioning_scale(weight, "pointer reading %r", reading, floor=1e-300)
+    return {k: a * scale for k, a in kept.items()}
+
+
+def reference_read_pointer(joint, seed):
+    """measure.read_pointer's (reading, post state), one scalar shot."""
+    from ketsim import StateVector
+
+    ((reading, column),) = _ref_shots(joint, seed, 1)
+    return reading, StateVector(joint.register, _ref_collapse(joint.pointers, column, reading))
+
+
+def reference_pointer_fidelities(joint, state, seed, shots: int) -> list[float]:
+    """measure.pointer_fidelities' values, shot by shot in scalars."""
+    from ketsim.register import amplitude_overlap
+
+    ref = state.amplitudes
+    return [
+        abs(amplitude_overlap(_ref_collapse(joint.pointers, column, reading), ref)) ** 2
+        for reading, column in _ref_shots(joint, seed, shots)
+    ]

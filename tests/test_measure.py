@@ -1,5 +1,11 @@
 import cmath
+import collections
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ from ketsim import (
     weak_measure,
 )
 from ketsim.errors import conditioning_scale
-from ketsim.grid import gaussian_packet
+from ketsim.grid import gaussian_packet, grid_xs
 from ketsim.measure import WeakJointState
 
 import oracles
@@ -357,6 +363,111 @@ def test_pointer_fidelities_match_read_pointer_then_fidelity(g, sigma):
         pruned += sum(p.support() == 1 for p in posts)
     if (g, sigma) == (50.0, 1.0):
         assert pruned == 600  # every shot keeps one branch
+
+
+def pointer_oracle_cases(seed: int, count: int = 120):
+    """(joint, reference state, draw seed) triples for the scalar oracle.
+
+    Joints carry 1-4 branches over two subsystems with complex amplitudes;
+    references hold 1-4 keys in their own random order, so some lack a key
+    of the joint and some are smaller than a post state. At g=50, sigma=1
+    every shot prunes a whole spin branch.
+    """
+    rng = np.random.default_rng(seed)
+    reg = spin_register()
+    keys = [{"spin": s, "tag": t} for s in ("up", "down") for t in ("t0", "t1")]
+    couplings = [(0.5, 20.0), (1.5, 5.0), (50.0, 1.0), (3.0, 1.0)]
+
+    def random_state(size):
+        return superpose(
+            reg, [(complex(*rng.normal(size=2)), keys[i]) for i in rng.permutation(4)[:size]]
+        )
+
+    for case in range(count):
+        state = random_state(1 + case % 4)
+        g, sigma = couplings[case // 4 % 4]
+        joint = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma))
+        yield joint, random_state(int(rng.integers(1, 5))), int(rng.integers(2**32))
+
+
+def compare_pointer_batch_with_oracle(seed: int, shots: int = 30) -> collections.Counter:
+    """Assert that pointer_fidelities and read_pointer give the scalar
+    oracle's bits on every pointer_oracle_cases case; count what was covered."""
+    seen = collections.Counter()
+    for joint, ref, draw in pointer_oracle_cases(seed):
+        ours, theirs = np.random.default_rng(draw), np.random.default_rng(draw)
+        got = pointer_fidelities(joint, ref, ours, shots)
+        assert got == oracles.reference_pointer_fidelities(joint, ref, theirs, shots)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        for _ in range(3):
+            reading, post = read_pointer(joint, ours)
+            want_reading, want = oracles.reference_read_pointer(joint, theirs)
+            assert reading == want_reading
+            assert repr(post.amplitudes) == repr(want.amplitudes)
+            common = [k for k in post.amplitudes if k in ref.amplitudes]
+            seen["pruned"] += post.support() < len(joint.pointers)
+            seen["ref lacks a key"] += len(common) < post.support()
+            seen["ref walk, other order"] += (
+                post.support() > ref.support() and common != [k for k in ref.amplitudes if k in common]
+            )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        seen["shots"] += shots + 3
+    return seen
+
+
+def test_pointer_batch_matches_the_scalar_oracle_bit_for_bit():
+    seen = compare_pointer_batch_with_oracle(5)
+    assert seen["shots"] >= 3000
+    assert min(seen.values()) > 0, seen
+
+
+def test_pointer_batch_matches_the_scalar_oracle_at_numpy_baseline_simd():
+    # The batch's bit identity rests on which numpy ops round like CPython's
+    # scalar ones, and numpy picks its loops by CPU. Rerun the oracle check
+    # with every dispatched SIMD level switched off.
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy dispatches no SIMD level above its baseline")
+    child = textwrap.dedent(
+        f"""
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:
+            from numpy.core._multiarray_umath import __cpu_features__
+        on = [f for f in {list(__cpu_dispatch__)!r} if __cpu_features__[f]]
+        assert not on, f"still enabled: {{on}}"
+        import test_measure
+        print(test_measure.compare_pointer_batch_with_oracle(5)["shots"])
+        """
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__), PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) >= 3000
+
+
+def test_pointer_batch_refuses_the_first_underflowing_shot_as_the_oracle_does():
+    # Amplitudes at the prune tolerance on a very coarse grid: the sampler has
+    # weight, yet every position but index 1 keeps no branch.
+    reg = spin_register()
+    key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
+    arr = np.array([1e-15, 2e-15, 1e-15, 1e-15], dtype=complex)
+    joint = WeakJointState(reg, 4, -1e20, 1e20, {key: arr})
+    ref = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})])
+    later = 0
+    for seed in range(20):
+        with pytest.raises(ImpossibleOutcomeError, match=r"^pointer reading -?\d.* has Born weight 0;") as ours:
+            pointer_fidelities(joint, ref, seed, 6)
+        with pytest.raises(ImpossibleOutcomeError) as theirs:
+            oracles.reference_pointer_fidelities(joint, ref, seed, 6)
+        assert str(ours.value) == str(theirs.value)
+        later += pointer_readings(joint, seed, 1)[0] == grid_xs(4, -1e20, 1e20)[1]
+    assert later > 0  # some refused shot was not the first one
 
 
 def test_weak_joint_arrays_match_out_of_place_formulas():

@@ -194,6 +194,15 @@ def test_dumps_json_matches_the_reference_writer_on_edge_inputs(obj):
     assert dumps_json(obj) == oracles.reference_dumps_json(obj)
 
 
+def test_int_subclasses_serialize_by_value_on_every_python():
+    # Python 3.10's str() of an IntEnum is its name ("Kind.LOW"), which is
+    # not JSON; every version must write the number, as a value and as a key.
+    obj = {"kind": Kind.LOW, Kind.HIGH: [Kind.LOW, 3], True: Kind.HIGH}
+    want = '{\n  "kind": 1,\n  "2": [1, 3],\n  "True": 2\n}\n'
+    assert dumps_json(obj) == want
+    assert oracles.reference_dumps_json(obj) == want
+
+
 @pytest.mark.parametrize(
     "obj, error",
     [
