@@ -325,17 +325,18 @@ def weak_measure(
             shifts[li] = params.g * float(observable[label])
     half = 10.0 * params.sigma + 5.0 * max(map(abs, shifts.values()), default=0.0)
     n = fine_grid_size(2.0 * half, params.sigma / 8.0)
-    packets = {
-        d: gaussian_packet(n, -half, half, d, params.sigma).amplitudes for d in set(shifts.values())
-    }
     last = {shifts[key[si]]: key for key in state.amplitudes}
+    packets = {}
     pointers = {}
     for key, amp in state.amplitudes.items():
         d = shifts[key[si]]
-        # A packet's last key scales the packet itself, scalar first as in
-        # amp * packet: packet *= amp rounds differently for a complex amp.
-        out = packets[d] if last[d] == key else None
-        pointers[key] = np.multiply(amp, packets[d], out=out)
+        # Each real packet is built at its first key and dropped after its
+        # last, so at 2**20 points a later packet reuses a freed one's memory.
+        if d not in packets:
+            packets[d] = gaussian_packet(n, -half, half, d, params.sigma).amplitudes
+        pointers[key] = np.multiply(amp, packets[d])
+        if last[d] == key:
+            del packets[d]
     return WeakJointState(reg, n, -half, half, pointers)
 
 

@@ -116,9 +116,23 @@ class Register:
             )
         return tuple(self.label_index(n, assignment[n]) for n in self.names)
 
+    @cached_property
+    def _partial_memo(self) -> dict:
+        return {}
+
     def partial_items(self, assignment: Mapping[str, str]) -> tuple[tuple[int, int], ...]:
-        """Partial assignment -> ((subsystem index, label index), ...)."""
-        return tuple((self.index(n), self.label_index(n, lab)) for n, lab in assignment.items())
+        """Partial assignment -> ((subsystem index, label index), ...).
+
+        Memoized per register by the assignment's items in order; an unknown
+        name or label raises ValueError on every call and is never stored.
+        """
+        key = tuple(assignment.items())
+        memo = self._partial_memo
+        items = memo.get(key)
+        if items is None:
+            items = tuple((self.index(n), self.label_index(n, lab)) for n, lab in key)
+            memo[key] = items
+        return items
 
     def assignment(self, key: Sequence[int]) -> dict[str, str]:
         return {s.name: s.labels[key[i]] for i, s in enumerate(self.subsystems)}

@@ -264,3 +264,103 @@ def reference_pointer_fidelities(joint, state, seed, shots: int) -> list[float]:
         abs(amplitude_overlap(_ref_collapse(joint.pointers, column, reading), ref)) ** 2
         for reading, column in _ref_shots(joint, seed, shots)
     ]
+
+
+# Reference grid path: every position-space array complex from birth, each
+# Gaussian's exp over the whole grid and every normalization a division, as
+# ketsim.grid computed them before real wavefunctions stayed float64. The
+# package must give these bits exactly. Arguments are plain geometry
+# (n, x_min, x_max) and arrays, so nothing here goes through GridWavefunction.
+def reference_xs(n: int, x_min: float, x_max: float) -> np.ndarray:
+    return x_min + (x_max - x_min) / n * np.arange(n)
+
+
+def reference_gaussian(xs: np.ndarray, center: float, denom: float) -> np.ndarray:
+    """exp(-((xs - center) ** 2) / denom) over every sample."""
+    t = np.subtract(xs, center)
+    np.square(t, out=t)
+    np.negative(t, out=t)
+    t /= denom
+    return np.exp(t, out=t)
+
+
+def reference_norm_sq(amps: np.ndarray, dx: float) -> float:
+    return float(np.sum(np.square(np.abs(amps))) * dx)
+
+
+def reference_normalized(amps: np.ndarray, dx: float) -> np.ndarray:
+    """amps cast to complex, then divided by the grid norm."""
+    out = amps.astype(complex)
+    out /= math.sqrt(reference_norm_sq(out, dx))
+    return out
+
+
+def reference_gaussian_packet(n, x_min, x_max, center, width) -> np.ndarray:
+    xs = reference_xs(n, x_min, x_max)
+    amps = reference_gaussian(xs, center, 2.0 * width * width)
+    return reference_normalized(amps, (x_max - x_min) / n)
+
+
+def reference_gaussian_superposition(params, n, domain) -> np.ndarray:
+    lo, hi = domain
+    xs = reference_xs(n, lo, hi)
+    big = reference_gaussian(xs, params.x1, 2.0 * params.L**2)
+    big *= params.n1
+    small = reference_gaussian(xs, params.x2, 2.0 * params.ell**2)
+    small *= params.n2
+    big *= math.sqrt(1.0 - params.eps**2)
+    small *= params.eps
+    big += small
+    return reference_normalized(big, (hi - lo) / n)
+
+
+def reference_window_project(n, x_min, x_max, amps, interval, keep_inside):
+    """(Born weight, renormalized complex amplitudes) of a window cut."""
+    from ketsim.errors import conditioning_scale
+
+    xs = reference_xs(n, x_min, x_max)
+    lo = int(xs.searchsorted(interval[0], side="left"))
+    hi = int(xs.searchsorted(interval[1], side="right"))
+    if keep_inside:
+        kept = np.zeros(n, dtype=complex)
+        kept[lo:hi] = amps[lo:hi]
+    else:
+        kept = amps.astype(complex)
+        kept[lo:hi] = 0.0
+    prob = reference_norm_sq(kept, (x_max - x_min) / n)
+    kept *= conditioning_scale(prob, "window projection")
+    return prob, kept
+
+
+def reference_momentum_amplitudes(n, x_min, x_max, amps):
+    """(ascending momenta, momentum amplitudes) from the FFT of the complex array."""
+    dx = (x_max - x_min) / n
+    p = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
+    phi = np.fft.fft(amps.astype(complex))
+    phi *= dx
+    phi /= math.sqrt(2.0 * math.pi)
+    phi *= np.exp(-1j * p * x_min)
+    return np.fft.fftshift(p), np.fft.fftshift(phi)
+
+
+def reference_momentum_spectrum(n, x_min, x_max, amps):
+    p, phi = reference_momentum_amplitudes(n, x_min, x_max, amps)
+    probs = np.square(np.abs(phi))
+    probs *= 2.0 * math.pi / (n * ((x_max - x_min) / n))
+    return p, probs
+
+
+def reference_moments(grid: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    total = float(np.sum(weights))
+    t = grid * weights
+    mean = float(np.sum(t)) / total
+    t = np.square(grid - mean)
+    t *= weights
+    var = float(np.sum(t)) / total
+    return mean, math.sqrt(max(var, 0.0))
+
+
+def reference_position_moments(n, x_min, x_max, amps) -> tuple[float, float]:
+    weights = np.square(np.abs(amps.astype(complex)))
+    weights *= (x_max - x_min) / n
+    return reference_moments(reference_xs(n, x_min, x_max), weights)

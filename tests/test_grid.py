@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -16,8 +17,17 @@ from ketsim import (
     momentum_spectrum,
     window_project,
 )
-from ketsim.grid import MAX_GRID_POINTS, contained, from_momentum_amplitudes, momentum_amplitudes
+from ketsim.grid import (
+    MAX_GRID_POINTS,
+    _gaussian,
+    contained,
+    from_momentum_amplitudes,
+    grid_xs,
+    momentum_amplitudes,
+)
+from ketsim.scenarios.spatial import _AUTO_EPS_SLOPE, _overlap_sq
 
+import numpy_baseline
 import oracles
 
 
@@ -254,3 +264,153 @@ def test_grid_axes_are_shared_and_read_only():
         p[0] = 0.0
     p2, _ = momentum_spectrum(one)
     assert p2 is p
+
+
+def _same_bits(ours, ref) -> bool:
+    """Equal bytes once both are complex128: real amplitudes must carry the
+    complex reference's values, zero signs included."""
+    return np.asarray(ours).astype(complex).tobytes() == np.asarray(ref).astype(complex).tobytes()
+
+
+def test_real_arrays_stay_real_and_other_inputs_become_complex():
+    n = 8
+    assert GridWavefunction(n, -1.0, 1.0, np.ones(n)).amplitudes.dtype == np.float64
+    real = np.ones(n)
+    assert GridWavefunction(n, -1.0, 1.0, real).amplitudes is real
+    for other in (np.ones(n, dtype=np.float32), np.ones(n, dtype=int), np.ones(n, dtype=complex)):
+        assert GridWavefunction(n, -1.0, 1.0, other).amplitudes.dtype == np.complex128
+    wf = packet()
+    assert wf.amplitudes.dtype == np.float64
+    assert window_project(wf, (-1.0, 1.0), keep_inside=True)[1].amplitudes.dtype == np.float64
+    assert wf.normalized().amplitudes.dtype == np.float64
+    cplx = GridWavefunction(wf.n, wf.x_min, wf.x_max, wf.amplitudes.astype(complex))
+    assert window_project(cplx, (-1.0, 1.0), keep_inside=False)[1].amplitudes.dtype == np.complex128
+
+
+def compare_gaussian_with_oracle(seed: int, draws: int = 300) -> collections.Counter:
+    """Assert that _gaussian, which computes exp only where it does not
+    underflow, gives the full-grid exp's bytes; count what was covered."""
+    rng = np.random.default_rng(seed)
+    seen = collections.Counter()
+    for _ in range(draws):
+        n = 2 ** int(rng.integers(6, 16))
+        x_min = float(rng.uniform(-500.0, 500.0))
+        x_max = x_min + float(rng.uniform(0.5, 200.0))
+        xs = grid_xs(n, x_min, x_max)
+        dx = (x_max - x_min) / n
+        # from a few samples to wider than the grid
+        width = dx * float(np.exp(rng.uniform(np.log(0.5), np.log(2.0 * n))))
+        where = rng.integers(4)
+        if where == 0:
+            center = float(rng.choice((x_min, x_max, xs[0], xs[-1])))
+        elif where == 1:  # beyond an end, up to 60 widths out
+            out = width * float(rng.uniform(0.0, 60.0))
+            center = x_min - out if rng.integers(2) else x_max + out
+        else:
+            center = float(rng.uniform(x_min, x_max))
+        denom = 2.0 * width * width
+        got = _gaussian(xs, center, denom)
+        want = oracles.reference_gaussian(xs, center, denom)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (n, x_min, x_max, center, width)
+        zeros = int(np.count_nonzero(want == 0.0))
+        seen["draws"] += 1
+        seen["all zero"] += zeros == n
+        seen["some zero"] += 0 < zeros < n
+        seen["no zero"] += zeros == 0
+        seen["few samples wide"] += width < 4.0 * dx
+    return seen
+
+
+def test_gaussian_matches_the_full_grid_exp_bit_for_bit():
+    seen = compare_gaussian_with_oracle(3)
+    assert min(seen.values()) > 0, seen
+
+
+def _random_dicke(rng):
+    """In-schema dicke_tray_spoon inputs, as the scenario resolves them: an
+    explicit n (the automatic size or twice it), explicit or automatic eps,
+    any window half-width, a negative x_spoon on either side of x_tray."""
+    big = float(rng.uniform(0.5, 3.0))
+    small = big * float(rng.uniform(0.02, 0.1))
+    sep = 5.0 * (big + small) * float(rng.uniform(1.0, 2.0))
+    x_spoon = -float(rng.uniform(0.0, 300.0))
+    x_tray = x_spoon + sep * float(rng.choice((-1.0, 1.0)))
+    eps = float(rng.uniform(0.01, 0.9)) if rng.integers(2) else _AUTO_EPS_SLOPE * small / big
+    params = DickeParams(L=big, ell=small, x1=x_tray, x2=x_spoon, eps=eps)
+    domain = dicke_domain(params)
+    n = dicke_grid_size(params, domain) * 2 ** int(rng.integers(2))
+    return params, domain, n, float(rng.uniform(1.0, 6.0))
+
+
+def _check_spectra(wf, ref_amps):
+    n, lo, hi = wf.n, wf.x_min, wf.x_max
+    assert moments(wf) == oracles.reference_position_moments(n, lo, hi, ref_amps)
+    p, phi = momentum_amplitudes(wf)
+    want_p, want_phi = oracles.reference_momentum_amplitudes(n, lo, hi, ref_amps)
+    assert p.tobytes() == want_p.tobytes() and phi.tobytes() == want_phi.tobytes()
+    if contained(wf):
+        p, probs = momentum_spectrum(wf)
+        want_p, want_probs = oracles.reference_momentum_spectrum(n, lo, hi, ref_amps)
+        assert p.tobytes() == want_p.tobytes() and probs.tobytes() == want_probs.tobytes()
+        assert moments((p, probs)) == oracles.reference_moments(want_p, want_probs)
+
+
+def compare_grid_path_with_oracle(seed: int, draws: int = 12) -> collections.Counter:
+    """Assert that the dicke_tray_spoon grid path (superposition, spectra,
+    moments, window cuts, the spoon packet, its overlap and normalized())
+    gives the complex reference's bytes on random in-schema inputs, for real
+    and for complex wavefunctions; count what was covered."""
+    rng = np.random.default_rng(seed)
+    seen = collections.Counter()
+    for _ in range(draws):
+        params, (lo, hi), n, half = _random_dicke(rng)
+        dx = (hi - lo) / n
+        wf = gaussian_superposition(params, n=n, domain=(lo, hi))
+        ref = oracles.reference_gaussian_superposition(params, n, (lo, hi))
+        assert wf.amplitudes.dtype == np.float64 and _same_bits(wf.amplitudes, ref)
+        as_complex = GridWavefunction(n, lo, hi, ref.copy())
+        spoon = gaussian_packet(n, lo, hi, params.x2, params.ell)
+        ref_spoon = oracles.reference_gaussian_packet(n, lo, hi, params.x2, params.ell)
+        assert spoon.amplitudes.dtype == np.float64 and _same_bits(spoon.amplitudes, ref_spoon)
+        a = params.x1 - float(rng.uniform(0.0, 3.0)) * params.L
+        cuts = (
+            ((params.x2 - half * params.ell, params.x2 + half * params.ell), True),
+            ((params.x1 - half * params.L, params.x1 + half * params.L), False),
+            ((max(a, lo), min(a + float(rng.uniform(0.5, 4.0)) * params.L, hi)), bool(rng.integers(2))),
+        )
+        for state, amps in ((wf, ref), (as_complex, ref)):
+            _check_spectra(state, amps)
+            for interval, keep in cuts:
+                prob, post = window_project(state, interval, keep_inside=keep)
+                want_prob, want = oracles.reference_window_project(n, lo, hi, amps, interval, keep)
+                assert prob == want_prob and post.amplitudes.dtype == state.amplitudes.dtype
+                assert _same_bits(post.amplitudes, want)
+                _check_spectra(post, want)
+                assert _overlap_sq(post, spoon) == abs(np.vdot(want, ref_spoon) * dx) ** 2
+                scaled = GridWavefunction(n, lo, hi, post.amplitudes * 3.0).normalized()
+                assert _same_bits(scaled.amplitudes, oracles.reference_normalized(want * 3.0, dx))
+                seen["window cuts"] += 1
+            seen["complex" if state is as_complex else "real"] += 1
+        seen["auto eps"] += params.eps == _AUTO_EPS_SLOPE * params.ell / params.L
+        seen["x_tray above x_spoon"] += params.x1 > params.x2
+        seen["x_tray below x_spoon"] += params.x1 < params.x2
+        seen["n past the automatic size"] += n > dicke_grid_size(params, (lo, hi))
+    return seen
+
+
+def test_grid_path_matches_the_complex_reference_bit_for_bit():
+    seen = compare_grid_path_with_oracle(11)
+    assert min(seen.values()) > 0, seen
+
+
+def test_grid_path_matches_the_complex_reference_at_numpy_baseline_simd():
+    # exp, the FFT and the complex arithmetic each dispatch by CPU, and the
+    # real path's bit identity must hold at every level.
+    out = numpy_baseline.run_at_baseline(
+        """
+        import test_grid
+        print(test_grid.compare_gaussian_with_oracle(3)["draws"])
+        print(test_grid.compare_grid_path_with_oracle(11)["window cuts"])
+        """
+    )
+    assert [int(v) for v in out.split()] == [300, 72]

@@ -1,11 +1,6 @@
 import cmath
 import collections
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +33,7 @@ from ketsim.errors import conditioning_scale
 from ketsim.grid import gaussian_packet, grid_xs
 from ketsim.measure import WeakJointState
 
+import numpy_baseline
 import oracles
 
 
@@ -423,32 +419,14 @@ def test_pointer_batch_matches_the_scalar_oracle_bit_for_bit():
 
 def test_pointer_batch_matches_the_scalar_oracle_at_numpy_baseline_simd():
     # The batch's bit identity rests on which numpy ops round like CPython's
-    # scalar ones, and numpy picks its loops by CPU. Rerun the oracle check
-    # with every dispatched SIMD level switched off.
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__
-    if not __cpu_dispatch__:
-        pytest.skip("this numpy dispatches no SIMD level above its baseline")
-    child = textwrap.dedent(
-        f"""
-        try:
-            from numpy._core._multiarray_umath import __cpu_features__
-        except ImportError:
-            from numpy.core._multiarray_umath import __cpu_features__
-        on = [f for f in {list(__cpu_dispatch__)!r} if __cpu_features__[f]]
-        assert not on, f"still enabled: {{on}}"
+    # scalar ones, and numpy picks its loops by CPU.
+    out = numpy_baseline.run_at_baseline(
+        """
         import test_measure
         print(test_measure.compare_pointer_batch_with_oracle(5)["shots"])
         """
     )
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__), PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) >= 3000
+    assert int(out.split()[-1]) >= 3000
 
 
 def test_pointer_batch_refuses_the_first_underflowing_shot_as_the_oracle_does():

@@ -56,6 +56,22 @@ def test_register_lookup():
         reg.label_index("a", "z")
 
 
+def test_partial_items_memo_gives_the_plain_lookup_and_refuses_every_miss():
+    reg = new_register([("a", ("0", "1")), ("b", ("x", "y", "z"))])
+    for assignment in ({"b": "z"}, {"b": "y", "a": "1"}, {"a": "1", "b": "y"}, {}):
+        plain = tuple((reg.index(n), reg.label_index(n, lab)) for n, lab in assignment.items())
+        first = reg.partial_items(assignment)
+        assert first == plain
+        assert reg.partial_items(dict(assignment)) is first
+    for bad, message in (({"c": "0"}, "unknown subsystem 'c'"), ({"a": "z"}, "has no label 'z'")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                reg.partial_items(bad)
+    # an equal register has its own memo with the same answers
+    twin = new_register([("a", ("0", "1")), ("b", ("x", "y", "z"))])
+    assert twin == reg and twin.partial_items({"b": "z"}) == ((1, 2),)
+
+
 def test_key_requires_full_assignment():
     reg = two_qubits()
     assert reg.key({"a": "0", "b": "1"}) == (0, 1)
