@@ -15,16 +15,14 @@ class ParameterError(ValueError):
     """Raised for invalid scenario parameters or CLI parameter overrides."""
 
 
-def conditioning_scale(weight: float, outcome: str, *args, floor: float = PROB_FLOOR) -> float:
+def conditioning_scale(weight: float, outcome: str, *, floor: float = PROB_FLOOR) -> float:
     """Factor 1/sqrt(weight) that renormalizes the unnormalized image of an outcome.
 
     Every projection, post-selection, partial readout, pointer collapse and
     window cut conditions through here: an outcome whose Born weight is at
-    or below the floor raises ImpossibleOutcomeError naming the outcome.
-    With args, the name is `outcome % args`, formatted only on refusal, so a
-    per-shot caller pays nothing for it on success.
+    or below the floor raises ImpossibleOutcomeError naming the outcome, used
+    verbatim.
     """
     if weight <= floor:
-        name = outcome % args if args else outcome
-        raise ImpossibleOutcomeError(f"{name} has Born weight {weight:g}; cannot condition on it")
+        raise ImpossibleOutcomeError(f"{outcome} has Born weight {weight:g}; cannot condition on it")
     return 1.0 / math.sqrt(weight)

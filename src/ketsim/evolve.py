@@ -191,12 +191,8 @@ def apply_basis_change(
         )
         out = _apply_label_matrix(state, si, allidx, block)
     if log is not None:
-        log.record("basis_change", (subsystem, _matrix_tuple(m), pair, out_pair))
+        log.record("basis_change", (subsystem, m, pair, out_pair))
     return out
-
-
-def _matrix_tuple(m) -> tuple:
-    return ((complex(m[0][0]), complex(m[0][1])), (complex(m[1][0]), complex(m[1][1])))
 
 
 def _dagger(m: Matrix2) -> tuple:

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import ImpossibleOutcomeError, ParameterError, conditioning_scale
 
-NORM_TOL = 1e-9
 CONTAINMENT_RATIO = 1e-6
 # Largest grid an automatic size may pick (16 MB per complex array).
 MAX_GRID_POINTS = 2**20
@@ -347,17 +346,6 @@ def momentum_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     """
     p, phi = _fft_amplitudes(wf)
     return p, _fftshift(phi)
-
-
-def from_momentum_amplitudes(
-    p: np.ndarray, phi: np.ndarray, n: int, x_min: float, x_max: float
-) -> GridWavefunction:
-    """Inverse of momentum_amplitudes on the same grid geometry."""
-    dx = (x_max - x_min) / n
-    unshift = np.fft.ifftshift(np.arange(n))
-    p0 = p[unshift]
-    f = phi[unshift] * math.sqrt(2.0 * math.pi) / dx * np.exp(1j * p0 * x_min)
-    return GridWavefunction(n, x_min, x_max, np.fft.ifft(f))
 
 
 def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,6 @@ from .register import (
     StateVector,
     fold_sum,
     matches,
-    prune,
 )
 
 
@@ -87,18 +86,26 @@ def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> flo
     return float(fold_sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
 
 
+def _condition(register: Register, image: dict, outcome: str) -> tuple[float, StateVector]:
+    """(Born weight, normalized post state) of an outcome's unnormalized
+    image: the conditioning rule of every projection, post-selection and
+    partial outcome.
+
+    The weight adds every |a|^2 of the image in order; the post state keeps
+    each amplitude above PRUNE_TOL, scaled by conditioning_scale(weight).
+    """
+    weight = float(fold_sum(abs(a) ** 2 for a in image.values()))
+    scale = conditioning_scale(weight, outcome)
+    return weight, StateVector(register, {k: a * scale for k, a in image.items() if abs(a) > PRUNE_TOL})
+
+
 def _conditioned(
     state: StateVector, assignments: Mapping[str, str], keep_matching: bool
 ) -> tuple[float, StateVector]:
     items = state.register.partial_items(assignments)
-    kept = {
-        k: a for k, a in state.amplitudes.items() if matches(k, items) == keep_matching
-    }
-    prob = float(fold_sum(abs(a) ** 2 for a in kept.values()))
+    image = {k: a for k, a in state.amplitudes.items() if matches(k, items) == keep_matching}
     word = "" if keep_matching else "complement of "
-    scale = conditioning_scale(prob, f"{word}{dict(assignments)}")
-    post = StateVector(state.register, {k: a * scale for k, a in kept.items()})
-    return prob, post
+    return _condition(state.register, image, f"{word}{dict(assignments)}")
 
 
 def project(state: StateVector, subsystem: str, label: str) -> MeasurementRecord:
@@ -183,9 +190,7 @@ def apply_partial_outcome(
 ) -> MeasurementRecord:
     """Deterministically apply one partial-readout outcome ('click'/'no-click')."""
     image = _partial_image(state, subsystem, monitored_label, _strength_eps(strength), outcome)
-    p = fold_sum(abs(a) ** 2 for a in image.values())
-    scale = conditioning_scale(p, f"partial outcome {outcome!r}")
-    post = StateVector(state.register, {k: a * scale for k, a in prune(image).items()})
+    p, post = _condition(state.register, image, f"partial outcome {outcome!r}")
     return MeasurementRecord({subsystem: outcome}, p, post)
 
 
@@ -375,22 +380,21 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
     successive calls, bit for bit, and leaves the generator where those calls
     leave it. All shots are drawn and conditioned in one _collapse_shots
     batch, and each overlap adds its terms in amplitude_overlap's order: the
-    post state's keys in joint order when it is no larger than `state`, else
-    `state`'s keys in its own order.
+    post state's keys, in joint order. Pruned branches are masked out, never
+    added as zero.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
     _, kept, re, im = _collapse_shots(joint, seed, shots)
     ref = state.amplitudes
-    rows = {k: i for i, k in enumerate(joint.pointers)}
-    by_joint = [(rows[k], ref[k]) for k in joint.pointers if k in ref]
-    by_ref = [(rows[k], a) for k, a in ref.items() if k in rows]
-    acc_re, acc_im = _overlap_sums(by_joint, kept, re, im)
-    if by_ref != by_joint:
-        walk_ref = kept.sum(axis=0) > len(ref)
-        ref_re, ref_im = _overlap_sums(by_ref, kept, re, im)
-        acc_re = np.where(walk_ref, ref_re, acc_re)
-        acc_im = np.where(walk_ref, ref_im, acc_im)
+    acc_re = np.zeros(shots)
+    acc_im = np.zeros(shots)
+    for k, keep, pr, npi in zip(joint.pointers, kept, re, -im):
+        if k in ref:
+            b = complex(ref[k])
+            # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
+            acc_re = np.where(keep, acc_re + (pr * b.real - npi * b.imag), acc_re)
+            acc_im = np.where(keep, acc_im + (pr * b.imag + npi * b.real), acc_im)
     return _squares(np.hypot(acc_re, acc_im))
 
 
@@ -429,25 +433,10 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     refused = np.flatnonzero(weight <= 1e-300)
     if refused.size:
         i = refused[0]
-        conditioning_scale(float(weight[i]), "pointer reading %r", readings[i], floor=1e-300)
+        conditioning_scale(float(weight[i]), f"pointer reading {readings[i]!r}", floor=1e-300)
     scale = 1.0 / np.sqrt(weight)
     # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
     return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
-
-
-def _overlap_sums(pairs, kept, re, im) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts, per shot, of the sum of conj(post) * b over
-    (row, b) pairs in the given order, skipping pruned branches: the acc of
-    amplitude_overlap."""
-    acc_re = np.zeros(kept.shape[1])
-    acc_im = np.zeros(kept.shape[1])
-    for i, b in pairs:
-        b = complex(b)
-        pr, npi = re[i], -im[i]
-        # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
-        acc_re = np.where(kept[i], acc_re + (pr * b.real - npi * b.imag), acc_re)
-        acc_im = np.where(kept[i], acc_im + (pr * b.imag + npi * b.real), acc_im)
-    return acc_re, acc_im
 
 
 def _squares(values: np.ndarray) -> list[float]:

@@ -254,16 +254,13 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 
 def amplitude_overlap(a: Mapping, b: Mapping) -> complex:
-    """<a|b> of two amplitude maps on one register, walking the smaller map."""
-    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    """<a|b> of two amplitude maps on one register: conj(a_k) * b_k added
+    left to right over the bra's keys, in a's order."""
     acc = 0j
-    for k, amp in small.items():
-        other = big.get(k)
+    for k, amp in a.items():
+        other = b.get(k)
         if other is not None:
-            if small is a:
-                acc += amp.conjugate() * other
-            else:
-                acc += other.conjugate() * amp
+            acc += amp.conjugate() * other
     return acc
 
 

@@ -243,7 +243,7 @@ def _ref_collapse(keys, column, reading: float) -> dict:
 
     kept = prune(dict(zip(keys, column)))
     weight = fold_sum(abs(a) ** 2 for a in kept.values())
-    scale = conditioning_scale(weight, "pointer reading %r", reading, floor=1e-300)
+    scale = conditioning_scale(weight, f"pointer reading {reading!r}", floor=1e-300)
     return {k: a * scale for k, a in kept.items()}
 
 

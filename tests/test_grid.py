@@ -21,7 +21,6 @@ from ketsim.grid import (
     MAX_GRID_POINTS,
     _gaussian,
     contained,
-    from_momentum_amplitudes,
     grid_xs,
     momentum_amplitudes,
 )
@@ -74,11 +73,13 @@ def test_norm_and_parseval():
     assert float(probs.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_momentum_roundtrip():
-    wf = packet(width=1.5, center=3.0)
-    p, phi = momentum_amplitudes(wf)
-    back = from_momentum_amplitudes(p, phi, wf.n, wf.x_min, wf.x_max)
-    assert np.allclose(back.amplitudes, wf.amplitudes, atol=1e-10)
+def test_momentum_amplitudes_match_the_closed_form():
+    # The unitary convention's transform of a packet of width w at c:
+    # phi(p) = (w^2/pi)^(1/4) exp(-p^2 w^2 / 2) exp(-i p c).
+    w, c = 1.5, 3.0
+    p, phi = momentum_amplitudes(gaussian_packet(4096, -40, 40, c, w))
+    want = (w * w / math.pi) ** 0.25 * np.exp(-p * p * w * w / 2) * np.exp(-1j * p * c)
+    assert np.max(np.abs(phi - want)) < 1e-12
 
 
 def test_window_project_matches_analytic_mass():

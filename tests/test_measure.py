@@ -10,6 +10,7 @@ from ketsim import (
     MeasurementRecord,
     ParameterError,
     PartialStrength,
+    StateVector,
     WeakParams,
     amplitude,
     apply_partial_outcome,
@@ -32,6 +33,7 @@ from ketsim import (
 from ketsim.errors import conditioning_scale
 from ketsim.grid import gaussian_packet, grid_xs
 from ketsim.measure import WeakJointState
+from ketsim.register import fold_sum
 
 import numpy_baseline
 import oracles
@@ -77,6 +79,17 @@ def test_project_collapses_and_reports_probability():
     assert rec.outcome == "y"
     assert born_probabilities(rec.post_state, "b") == {"y": pytest.approx(1.0, abs=1e-12)}
     assert abs(rec.post_state.norm() - 1.0) < 1e-12
+
+
+def test_project_drops_dust_from_the_post_state_but_weighs_it():
+    # Every sparse readout conditions by one rule: the Born weight adds every
+    # amplitude of the kept branch, and the post state keeps none <= 1e-15.
+    reg = pair_register()
+    branch = {(0, 1): 1e-16 + 0j, (1, 1): 0.6 + 0j}
+    state = StateVector(reg, {(0, 0): 0.8 + 0j, **branch})
+    rec = project(state, "b", "y")
+    assert rec.post_state.amplitudes == {(1, 1): 1.0 + 0j}
+    assert rec.probability == fold_sum(abs(a) ** 2 for a in branch.values())
 
 
 def test_project_impossible_outcome_raises():
@@ -403,7 +416,7 @@ def compare_pointer_batch_with_oracle(seed: int, shots: int = 30) -> collections
             common = [k for k in post.amplitudes if k in ref.amplitudes]
             seen["pruned"] += post.support() < len(joint.pointers)
             seen["ref lacks a key"] += len(common) < post.support()
-            seen["ref walk, other order"] += (
+            seen["ref smaller, other order"] += (
                 post.support() > ref.support() and common != [k for k in ref.amplitudes if k in common]
             )
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -485,11 +498,7 @@ def test_zero_weight_joint_raises_on_every_call():
             pointer_fidelities(joint, superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})]), 0, 10)
 
 
-def test_pointer_refusal_names_the_reading():
-    # The per-shot path passes the reading as an argument; it is formatted
-    # into the message only when the shot is refused.
-    with pytest.raises(ImpossibleOutcomeError, match=r"^pointer reading 0\.25 has Born weight 0;"):
-        conditioning_scale(0.0, "pointer reading %r", 0.25, floor=1e-300)
-    # without arguments the outcome is used verbatim, '%' and all
+def test_refusal_names_the_outcome_verbatim():
+    # the outcome is never %-formatted, so a '%' in it stays as it is
     with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome '50%' has"):
         conditioning_scale(0.0, "partial outcome '50%'")

@@ -193,6 +193,20 @@ def test_overlap_matches_dense_oracle():
         want = np.vdot(oracles.dense_vector(s1), oracles.dense_vector(s2))
         assert abs(overlap(s1, s2) - want) < 1e-12
         assert abs(s1.norm() - np.linalg.norm(oracles.dense_vector(s1))) < 1e-12
+    # The bra's keys, in its order, fix the order of the terms; a smaller ket
+    # walked in its own order would round differently on some pairs.
+    keys = list(reg.keys())
+    other_order = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        bra = StateVector(reg, {keys[i]: complex(*rng.normal(size=2)) for i in rng.permutation(len(keys))})
+        ket = StateVector(reg, {keys[i]: complex(*rng.normal(size=2)) for i in rng.permutation(len(keys))[:4]})
+        terms = [a.conjugate() * ket.amplitudes[k] for k, a in bra.amplitudes.items() if k in ket.amplitudes]
+        want = fold_sum(terms)
+        assert overlap(bra, ket) == want
+        ket_order = [bra.amplitudes[k].conjugate() * b for k, b in ket.amplitudes.items()]
+        other_order += fold_sum(ket_order) != want
+    assert other_order > 0
 
 
 def test_items_sorted_is_canonical():
