@@ -26,11 +26,24 @@ the complex path's bits because numpy's complex / real computes
 a * (1.0 / norm), which is how every normalization here scales (for a zero
 amplitude the sign may differ; no density or report can see it), and because
 |a + 0j| ** 2 equals a * a.
+
+Memory: importing this module pins glibc malloc's two heap thresholds
+through `mallopt`, once, for the whole process. Blocks below
+HEAP_MMAP_THRESHOLD (4 MB, one complex array of MAX_GRID_POINTS // 4
+points) come from the heap, and up to HEAP_TRIM_THRESHOLD (8 MB, glibc's
+own 2x ratio) of free memory stays at the heap's top. glibc's default
+policy raises its mmap threshold only to the largest block freed so far, so
+a report whose transient peak exceeds twice its largest array trims the
+heap on its last free, and the next report faults the same pages back in.
+Arrays of grids near the cap are still mapped and unmapped on their own.
+Without glibc nothing is called. No value or report byte depends on this.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,6 +54,32 @@ from .errors import ImpossibleOutcomeError, ParameterError, conditioning_scale
 CONTAINMENT_RATIO = 1e-6
 # Largest grid an automatic size may pick (16 MB per complex array).
 MAX_GRID_POINTS = 2**20
+# glibc malloc maps each block of at least this size on its own (module
+# docstring): every array of a grid up to 2**17 points is a heap block, and
+# the cap's arrays are still unmapped when freed.
+HEAP_MMAP_THRESHOLD = 16 * (MAX_GRID_POINTS // 4)
+# Free memory kept at the heap's top before glibc returns it to the system.
+HEAP_TRIM_THRESHOLD = 2 * HEAP_MMAP_THRESHOLD
+# mallopt parameter numbers, from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc malloc's mmap and trim thresholds; a no-op without glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
+_pin_heap_thresholds()
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -1,9 +1,10 @@
 """Scenario catalog: named, parameterized, seeded experiment scripts.
 
 Each scenario validates its parameters against a schema before doing any
-work, runs a fixed timeline, and returns a ScenarioReport. Randomness is
-derived from (seed, scenario name), so runs are reproducible and two
-scenarios never share a stream for the same seed.
+work, runs a fixed timeline, and returns a ScenarioReport. A scenario's run
+takes the seed; one that draws builds its generator with `scenario_rng`,
+from (seed, scenario name), so runs are reproducible and two scenarios never
+share a stream for the same seed.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Scenario:
     name: str
     summary: str
     params: tuple[ParamSpec, ...]
-    run: Callable[[dict, np.random.Generator], tuple]
+    run: Callable[[dict, int], tuple]  # (resolved params, seed)
 
 
 class StepFailure(RuntimeError):
@@ -163,8 +164,7 @@ def run_scenario(name: str, params: Mapping | None = None, seed: int = 0) -> Sce
     except KeyError:
         raise ParameterError(f"unknown scenario {name!r}") from None
     resolved = resolve_params(scenario, params)
-    rng = scenario_rng(name, seed)
-    steps, checks, notes = scenario.run(resolved, rng)
+    steps, checks, notes = scenario.run(resolved, seed)
     return ScenarioReport(
         scenario=name,
         params=resolved,

@@ -62,7 +62,7 @@ def _qo_unitaries(state):
     return _annihilation_window(state, "arm1", "pair_t2", "det2")
 
 
-def _run_qo_core(params, rng):
+def _run_qo_core(params, seed):
     name = "qo_core"
     reg = _pair_register()
     idle = {"photons": "none", "det1": "ready", "det2": "ready"}
@@ -206,7 +206,7 @@ QO_CORE = Scenario(
 )
 
 
-def _run_hardy_ci(params, rng):
+def _run_hardy_ci(params, seed):
     name = "hardy_ci"
     reg = new_register(
         [
@@ -294,7 +294,7 @@ HARDY_CI = Scenario(
 )
 
 
-def _run_ghostly_mirror(params, rng):
+def _run_ghostly_mirror(params, seed):
     name = "ghostly_mirror"
     reg = new_register(
         [

@@ -73,7 +73,7 @@ def _second_crossing_and_drift(state, log=None):
     return state
 
 
-def _run_atom_collision(params, rng):
+def _run_atom_collision(params, seed):
     reg = _atom_register(with_pointers=False)
     state = superpose(reg, [(1.0, {"atom1": "src", "atom2": "src"})])
     steps = [make_step("sources ready", state)]
@@ -168,7 +168,7 @@ ATOM_COLLISION = Scenario(
 )
 
 
-def _run_oblivion_with_pointers(params, rng):
+def _run_oblivion_with_pointers(params, seed):
     name = "oblivion_with_pointers"
     reg = _atom_register(with_pointers=True)
     initial = superpose(reg, [(1.0, {"atom1": "src", "atom2": "src", "ptr1": "idle", "ptr2": "idle"})])

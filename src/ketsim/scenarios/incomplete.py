@@ -26,7 +26,7 @@ from ..measure import (
 )
 from ..register import fidelity, fold_sum, new_register, superpose
 from ..report import Check, make_step
-from . import ParamSpec, Scenario, guard
+from . import ParamSpec, Scenario, guard, scenario_rng
 
 # Fixed relative phase carried through the null-result walk; restoring it is
 # part of the claim, so it must not be zero.
@@ -35,7 +35,7 @@ _PHASE = 0.7
 _MAX_WALK_STEPS = 100000
 
 
-def _run_partial_erasure(params, rng):
+def _run_partial_erasure(params, seed):
     name = "partial_erasure"
     eps = params["eps"]
     target = params["target"]
@@ -156,13 +156,14 @@ PARTIAL_ERASURE = Scenario(
 )
 
 
-def _run_weak_ensemble(params, rng):
+def _run_weak_ensemble(params, seed):
     g = params["g"]
     sigma = params["sigma"]
     n_shots = params["n_shots"]
     singles = params["singles"]
     sigma_single = params["sigma_single"]
     sigma_strong = params["sigma_strong"]
+    rng = scenario_rng("weak_ensemble", seed)
     reg = new_register([("spin", ("up", "down"))])
     state = superpose(reg, [(1.0, {"spin": "up"}), (1.0, {"spin": "down"})])
     steps = [make_step("balanced preparation", state)]

@@ -39,7 +39,7 @@ def _visibility(values) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _run_quantum_erasure(params, rng):
+def _run_quantum_erasure(params, seed):
     points = params["points"]
     if points % 2:
         raise ParameterError("points must be even so the phase grid contains pi exactly")
@@ -115,7 +115,7 @@ def _ring_labels(d: int) -> tuple[str, ...]:
     return tuple(f"w{i}" for i in range(d))
 
 
-def _run_ab_toy(params, rng):
+def _run_ab_toy(params, seed):
     d = params["d"]
     phi = params["phi"]
     labels = _ring_labels(d)

@@ -41,7 +41,7 @@ def _overlap_sq(a, b) -> float:
     return abs(np.vdot(va, vb) * a.dx) ** 2
 
 
-def _run_dicke(params, rng):
+def _run_dicke(params, seed):
     big = params["l_tray"]
     small = params["l_spoon"]
     eps = params["eps"] if params["eps"] > 0.0 else _AUTO_EPS_SLOPE * small / big

@@ -46,7 +46,7 @@ def _cycle_labels(n: int) -> tuple[str, ...]:
     return tuple("c" + str(k).zfill(width) for k in range(1, n + 1))
 
 
-def _run_zeno_basic(params, rng):
+def _run_zeno_basic(params, seed):
     alpha = params["alpha"]
     n = _resolve_cycles(alpha, params["cycles"], cap=127)
     marks = _cycle_labels(n)
@@ -136,7 +136,7 @@ ZENO_BASIC = Scenario(
 )
 
 
-def _run_zeno_counterfactual(params, rng):
+def _run_zeno_counterfactual(params, seed):
     name = "zeno_counterfactual"
     alpha = params["alpha"]
     n = _resolve_cycles(alpha, params["cycles"], cap=63)
@@ -288,7 +288,7 @@ def _ghost_reference(alpha: float, n: int) -> dict:
     }
 
 
-def _run_zeno_ghost(params, rng):
+def _run_zeno_ghost(params, seed):
     name = "zeno_ghost_entanglement"
     alpha = params["alpha"]
     n = _resolve_cycles(alpha, params["cycles"], cap=200)

@@ -1,9 +1,16 @@
+import ast
 import collections
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ketsim
 from ketsim import (
     DickeParams,
     GridWavefunction,
@@ -415,3 +422,38 @@ def test_grid_path_matches_the_complex_reference_at_numpy_baseline_simd():
         """
     )
     assert [int(v) for v in out.split()] == [300, 72]
+
+
+_STEADY_FAULTS_CHILD = """
+import resource
+from ketsim import run_scenario
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+for _ in range(2):
+    run_scenario("dicke_tray_spoon", {"l_spoon": 0.01})
+added = []
+for _ in range(3):
+    before = faults()
+    run_scenario("dicke_tray_spoon", {"l_spoon": 0.01})
+    added.append(faults() - before)
+print(added)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="heap thresholds are pinned on glibc only")
+def test_large_grid_reports_reuse_heap_memory_without_page_faults():
+    # A 32768-point report peaks at about 2.3 MB of transient arrays. Under
+    # glibc's dynamic thresholds each report trims that memory and faults it
+    # back in (about 1 100 minor faults); with the pinned thresholds a warm
+    # report takes almost none. A fresh process, so no earlier test's frees
+    # have moved glibc's thresholds.
+    src = str(Path(ketsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEADY_FAULTS_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = ast.literal_eval(proc.stdout)
+    assert len(added) == 3 and all(a < 50 for a in added), added
