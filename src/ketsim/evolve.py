@@ -10,6 +10,7 @@ order, so round trips are exact rather than numerically approximate.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -45,6 +46,33 @@ class OpLog:
         return len(self._entries)
 
 
+def _label_columns(label_indices: Sequence[int], matrix: Sequence[Sequence[complex]]) -> dict:
+    """Each input label's column: ((output label,), coefficient) pairs, zeros
+    dropped, in row order, so sums add in the same order as a row-by-row walk."""
+    return {
+        li: tuple(((lj,), matrix[j][p]) for j, lj in enumerate(label_indices) if matrix[j][p] != 0)
+        for p, li in enumerate(label_indices)
+    }
+
+
+def _apply_columns(state: StateVector, sub_index: int, columns: dict) -> StateVector:
+    """Apply label columns to one subsystem; other labels pass through."""
+    new_amps: dict[tuple[int, ...], complex] = {}
+    get = new_amps.get
+    for key, amp in state.amplitudes.items():
+        column = columns.get(key[sub_index])
+        if column is None:
+            # no column output carries this label, so nothing else lands here
+            new_amps[key] = 0j + amp
+            continue
+        head = key[:sub_index]
+        tail = key[sub_index + 1 :]
+        for lj, c in column:
+            nk = head + lj + tail
+            new_amps[nk] = get(nk, 0j) + c * amp
+    return StateVector(state.register, prune(new_amps))
+
+
 def _apply_label_matrix(
     state: StateVector,
     sub_index: int,
@@ -55,28 +83,15 @@ def _apply_label_matrix(
 
     Keys whose label is outside `label_indices` pass through untouched.
     """
-    # Each input label's column: (output label, coefficient), zeros dropped,
-    # in row order, so sums add in the same order as a row-by-row walk.
-    columns = {
-        li: [(lj, matrix[j][p]) for j, lj in enumerate(label_indices) if matrix[j][p] != 0]
-        for p, li in enumerate(label_indices)
-    }
-    new_amps: dict[tuple[int, ...], complex] = {}
-    for key, amp in state.amplitudes.items():
-        column = columns.get(key[sub_index])
-        if column is None:
-            new_amps[key] = new_amps.get(key, 0j) + amp
-            continue
-        head = key[:sub_index]
-        tail = key[sub_index + 1 :]
-        for lj, c in column:
-            nk = head + (lj,) + tail
-            new_amps[nk] = new_amps.get(nk, 0j) + c * amp
-    return StateVector(state.register, prune(new_amps))
+    return _apply_columns(state, sub_index, _label_columns(label_indices, matrix))
+
+
+def _complex_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    return ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
 
 
 def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    m = ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
+    m = _complex_2x2(u)
     # U†U = I within 1e-10
     for i in range(2):
         for j in range(2):
@@ -85,6 +100,41 @@ def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[compl
             if abs(acc - want) > 1e-10:
                 raise ValueError("matrix is not unitary within 1e-10")
     return m
+
+
+# A 2x2 complex matrix as its eight float parts, row by row: a plan key that
+# tells signed zeros apart, which equal complex values do not.
+_MATRIX_BITS = struct.Struct("<8d")
+
+
+def _matrix_bits(m) -> bytes:
+    (a, b), (c, d) = m
+    return _MATRIX_BITS.pack(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+
+
+def _matrix_from_bits(bits: bytes) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    ar, ai, br, bi, cr, ci, dr, di = _MATRIX_BITS.unpack(bits)
+    return ((complex(ar, ai), complex(br, bi)), (complex(cr, ci), complex(dr, di)))
+
+
+_SPLITTER = (
+    (0.0, _INV_SQRT2, _INV_SQRT2),
+    (_INV_SQRT2, 0.5, -0.5),
+    (_INV_SQRT2, -0.5, 0.5),
+)
+
+
+def _split_plan(reg: Register, subsystem: str, source_label: str, out_pair) -> tuple:
+    si = reg.index(subsystem)
+    l1, l2 = out_pair
+    idx = (
+        reg.label_index(subsystem, source_label),
+        reg.label_index(subsystem, l1),
+        reg.label_index(subsystem, l2),
+    )
+    if len(set(idx)) != 3:
+        raise ValueError("source label and arm pair must be three distinct labels")
+    return si, _label_columns(idx, _SPLITTER)
 
 
 def apply_split(
@@ -103,26 +153,24 @@ def apply_split(
     arms. The map is real, symmetric and self-inverse, so applying it twice
     is the identity.
     """
-    reg = state.register
-    si = reg.index(subsystem)
-    l1, l2 = out_pair
-    idx = (
-        reg.label_index(subsystem, source_label),
-        reg.label_index(subsystem, l1),
-        reg.label_index(subsystem, l2),
-    )
-    if len(set(idx)) != 3:
-        raise ValueError("source label and arm pair must be three distinct labels")
-    s = _INV_SQRT2
-    u3 = (
-        (0.0, s, s),
-        (s, 0.5, -0.5),
-        (s, -0.5, 0.5),
-    )
-    out = _apply_label_matrix(state, si, idx, u3)
+    si, columns = state.register.plan((_split_plan, subsystem, source_label, out_pair))
+    out = _apply_columns(state, si, columns)
     if log is not None:
+        l1, l2 = out_pair
         log.record("split", (subsystem, source_label, (l1, l2)))
     return out
+
+
+def _rotation_plan(reg: Register, subsystem: str, pair, alpha) -> tuple:
+    si = reg.index(subsystem)
+    la, lb = pair
+    idx = (reg.label_index(subsystem, la), reg.label_index(subsystem, lb))
+    if idx[0] == idx[1]:
+        raise ValueError("rotation pair must be two distinct labels")
+    # Equal angles give equal cos and sin, up to the sign of a zero sine,
+    # and zero coefficients are dropped from the columns.
+    c, s = math.cos(alpha), math.sin(alpha)
+    return si, _label_columns(idx, ((c, -s), (s, c)))
 
 
 def apply_rotation(
@@ -137,17 +185,36 @@ def apply_rotation(
     |la> -> cos(a)|la> + sin(a)|lb>, |lb> -> -sin(a)|la> + cos(a)|lb>.
     n applications compose to a single rotation by n*a.
     """
-    reg = state.register
-    si = reg.index(subsystem)
-    la, lb = pair
-    idx = (reg.label_index(subsystem, la), reg.label_index(subsystem, lb))
-    if idx[0] == idx[1]:
-        raise ValueError("rotation pair must be two distinct labels")
-    c, s = math.cos(alpha), math.sin(alpha)
-    out = _apply_label_matrix(state, si, idx, ((c, -s), (s, c)))
+    si, columns = state.register.plan((_rotation_plan, subsystem, pair, alpha))
+    out = _apply_columns(state, si, columns)
     if log is not None:
+        la, lb = pair
         log.record("rotation", (subsystem, (la, lb), alpha))
     return out
+
+
+def _basis_plan(reg: Register, subsystem: str, bits: bytes, pair, out_pair) -> tuple:
+    si = reg.index(subsystem)
+    m = _check_unitary_2x2(_matrix_from_bits(bits))
+    a1, a2 = pair
+    ia = (reg.label_index(subsystem, a1), reg.label_index(subsystem, a2))
+    if ia[0] == ia[1]:
+        raise ValueError("basis pair must be two distinct labels")
+    if out_pair is None:
+        return si, _label_columns(ia, m)
+    b1, b2 = out_pair
+    ib = (reg.label_index(subsystem, b1), reg.label_index(subsystem, b2))
+    allidx = ia + ib
+    if len(set(allidx)) != 4:
+        raise ValueError("pair and out_pair must be four distinct labels")
+    z = 0j
+    block = (
+        (z, z, m[0][0], m[0][1]),
+        (z, z, m[1][0], m[1][1]),
+        (m[0][0], m[0][1], z, z),
+        (m[1][0], m[1][1], z, z),
+    )
+    return si, _label_columns(allidx, block)
 
 
 def apply_basis_change(
@@ -167,29 +234,9 @@ def apply_basis_change(
     matrix. Both forms are exactly unitary; the inverse is u† on the same
     pairs.
     """
-    reg = state.register
-    si = reg.index(subsystem)
-    m = _check_unitary_2x2(u)
-    a1, a2 = pair
-    ia = (reg.label_index(subsystem, a1), reg.label_index(subsystem, a2))
-    if ia[0] == ia[1]:
-        raise ValueError("basis pair must be two distinct labels")
-    if out_pair is None:
-        out = _apply_label_matrix(state, si, ia, m)
-    else:
-        b1, b2 = out_pair
-        ib = (reg.label_index(subsystem, b1), reg.label_index(subsystem, b2))
-        allidx = ia + ib
-        if len(set(allidx)) != 4:
-            raise ValueError("pair and out_pair must be four distinct labels")
-        z = 0j
-        block = (
-            (z, z, m[0][0], m[0][1]),
-            (z, z, m[1][0], m[1][1]),
-            (m[0][0], m[0][1], z, z),
-            (m[1][0], m[1][1], z, z),
-        )
-        out = _apply_label_matrix(state, si, allidx, block)
+    m = _complex_2x2(u)
+    si, columns = state.register.plan((_basis_plan, subsystem, _matrix_bits(m), pair, out_pair))
+    out = _apply_columns(state, si, columns)
     if log is not None:
         log.record("basis_change", (subsystem, m, pair, out_pair))
     return out

@@ -106,9 +106,22 @@ def grid_xs(n: int, x_min: float, x_max: float) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def _grid_spectral(n: int, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shared read-only (ascending momenta, FFT-order phase exp(-i p x_min))."""
+    """Shared read-only (ascending momenta, FFT-order phase exp(-i p x_min)).
+
+    The FFT-order momenta above the Nyquist index are the exact negatives of
+    those below it, so the phase there is the conjugate of the phase at
+    indices n/2-1 ... 1, and only indices 0 ... n/2 call exp. At x_min = 0
+    the conjugate would flip the sign of every zero imaginary part, so exp
+    runs over all n points there.
+    """
     p = 2.0 * math.pi * np.fft.fftfreq(n, d=(x_max - x_min) / n)
-    phase = np.exp(-1j * p * x_min)
+    if x_min == 0.0:
+        phase = np.exp(-1j * p * x_min)
+    else:
+        half = n // 2
+        phase = np.empty(n, dtype=complex)
+        np.exp(-1j * p[: half + 1] * x_min, out=phase[: half + 1])
+        np.conjugate(phase[half - 1 : 0 : -1], out=phase[half + 1 :])
     return _read_only(np.fft.fftshift(p)), _read_only(phase)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -69,15 +69,19 @@ class MeasurementRecord:
         return label
 
 
+def _labels_of(reg: Register, subsystem: str) -> tuple[int, tuple[str, ...]]:
+    """(subsystem index, its labels)."""
+    si = reg.index(subsystem)
+    return si, reg.subsystems[si].labels
+
+
 def born_probabilities(state: StateVector, subsystem: str) -> dict[str, float]:
     """Marginal outcome distribution of one subsystem (zero entries dropped)."""
-    reg = state.register
-    si = reg.index(subsystem)
-    spec = reg.spec(subsystem)
-    acc = [0.0] * spec.dim
+    si, labels = state.register.plan((_labels_of, subsystem))
+    acc = [0.0] * len(labels)
     for key, amp in state.amplitudes.items():
         acc[key[si]] += abs(amp) ** 2
-    return {spec.labels[i]: w for i, w in enumerate(acc) if w > 0.0}
+    return {labels[i]: w for i, w in enumerate(acc) if w > 0.0}
 
 
 def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> float:
@@ -86,13 +90,14 @@ def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> flo
     return float(fold_sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
 
 
-def _condition(register: Register, image: dict, outcome: str) -> tuple[float, StateVector]:
+def _condition(register: Register, image: dict, outcome: str | Callable[[], str]) -> tuple[float, StateVector]:
     """(Born weight, normalized post state) of an outcome's unnormalized
     image: the conditioning rule of every projection, post-selection and
     partial outcome.
 
     The weight adds every |a|^2 of the image in order; the post state keeps
     each amplitude above PRUNE_TOL, scaled by conditioning_scale(weight).
+    `outcome` names the outcome, or is a function that names it on refusal.
     """
     weight = float(fold_sum(abs(a) ** 2 for a in image.values()))
     scale = conditioning_scale(weight, outcome)
@@ -105,14 +110,14 @@ def _conditioned(
     items = state.register.partial_items(assignments)
     image = {k: a for k, a in state.amplitudes.items() if matches(k, items) == keep_matching}
     word = "" if keep_matching else "complement of "
-    return _condition(state.register, image, f"{word}{dict(assignments)}")
+    return _condition(state.register, image, lambda: f"{word}{dict(assignments)}")
 
 
 def project(state: StateVector, subsystem: str, label: str) -> MeasurementRecord:
     """Projective readout of one subsystem onto one label."""
-    state.register.label_index(subsystem, label)
-    prob, post = _conditioned(state, {subsystem: label}, True)
-    return MeasurementRecord({subsystem: label}, prob, post)
+    outcome = {subsystem: label}
+    prob, post = _conditioned(state, outcome, True)
+    return MeasurementRecord(outcome, prob, post)
 
 
 def postselect(state: StateVector, assignments: Mapping[str, str]) -> MeasurementRecord:
@@ -173,9 +178,7 @@ def _partial_image(
     Click operator: sqrt(eps) * P_monitored. No-click operator:
     P_rest + sqrt(1-eps) * P_monitored. Their squares sum to the identity.
     """
-    reg = state.register
-    si = reg.index(subsystem)
-    mi = reg.label_index(subsystem, monitored_label)
+    ((si, mi),) = state.register.partial_items({subsystem: monitored_label})
     if outcome == "click":
         s = math.sqrt(eps)
         return {k: s * a for k, a in state.amplitudes.items() if k[si] == mi}
@@ -190,7 +193,7 @@ def apply_partial_outcome(
 ) -> MeasurementRecord:
     """Deterministically apply one partial-readout outcome ('click'/'no-click')."""
     image = _partial_image(state, subsystem, monitored_label, _strength_eps(strength), outcome)
-    p, post = _condition(state.register, image, f"partial outcome {outcome!r}")
+    p, post = _condition(state.register, image, lambda: f"partial outcome {outcome!r}")
     return MeasurementRecord({subsystem: outcome}, p, post)
 
 

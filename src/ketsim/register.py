@@ -13,6 +13,20 @@ varies slowest.
 StateVector instances are treated as immutable values: every operation in
 this package returns a fresh state and never mutates its input. Sharing a
 state between concurrent readers is therefore safe by construction.
+
+Plan memo: each Register keeps one memo of operation plans. A plan is what
+an operation works out from its non-state arguments alone: resolved
+subsystem and label indices, a partial or full assignment's keys, a
+matrix's unitarity verdict and its label columns. `Register.plan` builds it
+with a pure function of the register and those arguments and stores it
+under them, so a repeated call does only the work that reads the state.
+A plan hit gives the bits of a fresh build for every input the API takes:
+an argument whose equal values could build different bits (a matrix
+entry's signed zeros) is keyed by its exact bits. A build that raises
+stores nothing, so an invalid argument raises on every call; a key with an
+unhashable argument builds afresh. Checks that read the state (a relabel's
+permutation check, a readout's probability floor and norm check) run on
+every call. The memo holds at most PLAN_MEMO_SIZE plans.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -28,6 +42,9 @@ NORM_TOL = 1e-10
 # Amplitudes below this magnitude are dropped from the sparse map. Well below
 # every tolerance used by callers (tightest check tolerance is 1e-12).
 PRUNE_TOL = 1e-15
+# A register's plan memo is emptied when it reaches this many plans, so a
+# caller that sweeps an angle on one register keeps its memory bounded.
+PLAN_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -70,14 +87,12 @@ class Register:
         names = [s.name for s in self.subsystems]
         if len(set(names)) != len(names):
             raise ValueError("subsystem names must be unique")
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {s.name: i for i, s in enumerate(self.subsystems)}
-
-    @cached_property
-    def _label_index(self) -> tuple[dict[str, int], ...]:
-        return tuple({lab: i for i, lab in enumerate(s.labels)} for s in self.subsystems)
+        object.__setattr__(self, "_index", {s.name: i for i, s in enumerate(self.subsystems)})
+        object.__setattr__(
+            self, "_label_index", tuple({lab: i for i, lab in enumerate(s.labels)} for s in self.subsystems)
+        )
+        # The plan memo (module docstring); never part of equality or repr.
+        object.__setattr__(self, "_plans", {})
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -108,31 +123,31 @@ class Register:
 
     def key(self, assignment: Mapping[str, str]) -> tuple[int, ...]:
         """Full assignment (every subsystem) -> joint basis key."""
-        if set(assignment) != set(self.names):
-            missing = set(self.names) - set(assignment)
-            extra = set(assignment) - set(self.names)
-            raise ValueError(
-                f"assignment must cover every subsystem exactly; missing={sorted(missing)} unknown={sorted(extra)}"
-            )
-        return tuple(self.label_index(n, assignment[n]) for n in self.names)
-
-    @cached_property
-    def _partial_memo(self) -> dict:
-        return {}
+        return self.plan((_full_key, tuple(assignment.items())))
 
     def partial_items(self, assignment: Mapping[str, str]) -> tuple[tuple[int, int], ...]:
-        """Partial assignment -> ((subsystem index, label index), ...).
+        """Partial assignment -> ((subsystem index, label index), ...), in the
+        assignment's order."""
+        return self.plan((_resolve, tuple(assignment.items())))
 
-        Memoized per register by the assignment's items in order; an unknown
-        name or label raises ValueError on every call and is never stored.
+    def plan(self, key: tuple):
+        """build(self, *args) for key = (build, *args), memoized on this
+        register under the key.
+
+        `build` must depend on nothing but the register and `args`. A build
+        that raises stores nothing; a key with an unhashable argument builds
+        afresh on every call.
         """
-        key = tuple(assignment.items())
-        memo = self._partial_memo
-        items = memo.get(key)
-        if items is None:
-            items = tuple((self.index(n), self.label_index(n, lab)) for n, lab in key)
-            memo[key] = items
-        return items
+        plans = self._plans
+        try:
+            found = plans.get(key)
+        except TypeError:
+            return key[0](self, *key[1:])
+        if found is None:
+            if len(plans) >= PLAN_MEMO_SIZE:
+                plans.clear()
+            found = plans[key] = key[0](self, *key[1:])
+        return found
 
     def assignment(self, key: Sequence[int]) -> dict[str, str]:
         return {s.name: s.labels[key[i]] for i, s in enumerate(self.subsystems)}
@@ -140,6 +155,23 @@ class Register:
     def keys(self) -> Iterator[tuple[int, ...]]:
         """All joint basis keys in canonical order (first subsystem slowest)."""
         return itertools.product(*(range(s.dim) for s in self.subsystems))
+
+
+def _resolve(reg: Register, items: tuple) -> tuple[tuple[int, int], ...]:
+    """((name, label), ...) -> ((subsystem index, label index), ...)."""
+    return tuple((reg.index(n), reg.label_index(n, lab)) for n, lab in items)
+
+
+def _full_key(reg: Register, items: tuple) -> tuple[int, ...]:
+    """((name, label), ...) covering every subsystem -> joint basis key."""
+    assignment = dict(items)
+    if assignment.keys() != set(reg.names):
+        missing = set(reg.names) - set(assignment)
+        extra = set(assignment) - set(reg.names)
+        raise ValueError(
+            f"assignment must cover every subsystem exactly; missing={sorted(missing)} unknown={sorted(extra)}"
+        )
+    return tuple(reg.label_index(n, assignment[n]) for n in reg.names)
 
 
 def new_register(specs: Iterable[SubsystemSpec | tuple[str, Sequence[str]]]) -> Register:

@@ -22,16 +22,23 @@ from ..report import Check, make_step
 from . import HADAMARD, ParamSpec, Scenario, guard
 
 
-def _erasure_pass(reg, phi: float):
-    """One interferometer pass at phase phi: the staged, marked and recombined
-    states, and the record of reading the marker as 'plain' in its diagonal basis."""
+def _erasure_arms(reg):
+    """The staged photon, and the state after the splitter tags arm a: the
+    part of a pass that does not depend on the phase."""
     staged = superpose(reg, [(1.0, {"photon": "src", "marker": "plain"})])
     state = apply_split(staged, "photon", "src", ("path_a", "path_b"))
-    state = controlled_relabel(state, {"photon": "path_a"}, [({"marker": "plain"}, {"marker": "tag"})])
-    marked = controlled_phase(state, {"photon": "path_a"}, phi)
+    tagged = controlled_relabel(state, {"photon": "path_a"}, [({"marker": "plain"}, {"marker": "tag"})])
+    return staged, tagged
+
+
+def _erasure_pass(tagged, phi: float):
+    """One interferometer pass at phase phi from the tagged arms: the marked
+    and recombined states, and the record of reading the marker as 'plain'
+    in its diagonal basis."""
+    marked = controlled_phase(tagged, {"photon": "path_a"}, phi)
     recombined = apply_split(marked, "photon", "src", ("path_a", "path_b"))
     erased = apply_basis_change(recombined, "marker", HADAMARD, ("plain", "tag"))
-    return staged, marked, recombined, project(erased, "marker", "plain")
+    return marked, recombined, project(erased, "marker", "plain")
 
 
 def _visibility(values) -> float:
@@ -44,13 +51,14 @@ def _run_quantum_erasure(params, seed):
     if points % 2:
         raise ParameterError("points must be even so the phase grid contains pi exactly")
     reg = new_register([("photon", ("src", "path_a", "path_b")), ("marker", ("plain", "tag"))])
+    staged, tagged = _erasure_arms(reg)
     checks = []
     marked = []
     erased = []
     width = len(str(points - 1))
     for k in range(points):
         phi = 2.0 * math.pi * k / points
-        _staged, _marked, recombined, rec = _erasure_pass(reg, phi)
+        _marked, recombined, rec = _erasure_pass(tagged, phi)
         p_marked = born_probabilities(recombined, "photon").get("src", 0.0)
         p_erased = born_probabilities(rec.post_state, "photon").get("src", 0.0)
         marked.append(p_marked)
@@ -72,7 +80,7 @@ def _run_quantum_erasure(params, seed):
 
     # Representative pass at a quarter-period phase for the timeline record.
     with guard("quantum_erasure", "diagonal marker readout"):
-        staged, marked_arms, recombined, rec = _erasure_pass(reg, math.pi / 2.0)
+        marked_arms, recombined, rec = _erasure_pass(tagged, math.pi / 2.0)
     steps = [
         make_step("photon staged", staged),
         make_step("marked arms", marked_arms,

@@ -27,6 +27,7 @@ from ketsim import (
 from ketsim.grid import (
     MAX_GRID_POINTS,
     _gaussian,
+    _grid_spectral,
     contained,
     grid_xs,
     momentum_amplitudes,
@@ -260,6 +261,32 @@ def test_window_project_matches_the_plain_mask_bit_for_bit(geometry, keep_inside
     assert in_window.all() if keep_inside else not in_window.any()
 
 
+def compare_spectral_phase_with_exp(seed: int, draws: int = 40) -> int:
+    """Assert that _grid_spectral's phase, which calls exp on indices
+    0 ... n/2 only and conjugates the rest, gives the full-grid
+    exp(-1j * p * x_min) bytes; return the number of geometries checked.
+    x_min = +-0.0, where the conjugate would flip zero signs, is included."""
+    rng = np.random.default_rng(seed)
+    geometries = [(n, lo, lo + span) for n in (4, 8, 4096, 32768) for lo, span in
+                  ((0.0, 1.0), (-0.0, 3.0), (-8.0, 22.0), (5.0, 1.0), (-1e6, 50.0), (-1e20, 2e20))]
+    for _ in range(draws):
+        lo = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 7))
+        geometries.append((2 ** int(rng.integers(2, 17)), lo, lo + float(rng.uniform(1e-3, 1e4))))
+    for n, x_min, x_max in geometries:
+        _grid_spectral.cache_clear()
+        p = 2.0 * math.pi * np.fft.fftfreq(n, d=(x_max - x_min) / n)
+        want = np.exp(-1j * p * x_min)
+        got_p, got = _grid_spectral(n, x_min, x_max)
+        assert got.tobytes() == want.tobytes(), (n, x_min, x_max)
+        assert got_p.tobytes() == np.fft.fftshift(p).tobytes()
+    _grid_spectral.cache_clear()
+    return len(geometries)
+
+
+def test_spectral_phase_matches_the_full_grid_exp_bit_for_bit():
+    assert compare_spectral_phase_with_exp(5) == 64
+
+
 def test_grid_axes_are_shared_and_read_only():
     n, x_min, x_max = GEOMETRIES[1]
     one = _geometry_packet(n, x_min, x_max)
@@ -419,9 +446,10 @@ def test_grid_path_matches_the_complex_reference_at_numpy_baseline_simd():
         import test_grid
         print(test_grid.compare_gaussian_with_oracle(3)["draws"])
         print(test_grid.compare_grid_path_with_oracle(11)["window cuts"])
+        print(test_grid.compare_spectral_phase_with_exp(5))
         """
     )
-    assert [int(v) for v in out.split()] == [300, 72]
+    assert [int(v) for v in out.split()] == [300, 72, 64]
 
 
 _STEADY_FAULTS_CHILD = """
