@@ -171,7 +171,8 @@ def _run_weak_ensemble(params, seed):
 
     # Ensemble statistics with a symmetric +-1 observable: mean reading 0.
     joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma))
-    mean = fold_sum(pointer_readings(joint, rng, n_shots).tolist()) / n_shots
+    with guard("weak_ensemble", "ensemble readings"):
+        mean = fold_sum(pointer_readings(joint, rng, n_shots).tolist()) / n_shots
     se = math.sqrt(sigma * sigma / 2.0 + g * g) / math.sqrt(n_shots)
     checks.append(Check("ensemble_mean", "abs", 0.0, mean, 3.0 * se, "central-limit bound"))
     steps.append(
@@ -184,7 +185,8 @@ def _run_weak_ensemble(params, seed):
     # Disturbance: a pointer twenty times wider than its kick leaves the
     # system almost untouched, averaged over outcomes.
     joint1 = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma_single))
-    mean_fid = fold_sum(pointer_fidelities(joint1, state, rng, singles)) / singles
+    with guard("weak_ensemble", "gentle single shots"):
+        mean_fid = fold_sum(pointer_fidelities(joint1, state, rng, singles)) / singles
     overlap_bound = 0.5 * (1.0 + math.exp(-g * g / (4.0 * sigma_single * sigma_single)))
     checks.append(Check("single_shot_fidelity", "ge", 0.999, mean_fid, 0.0, "gentleness threshold"))
     checks.append(
@@ -201,7 +203,8 @@ def _run_weak_ensemble(params, seed):
     # Strong limit: a pointer much narrower than its kick is an ordinary
     # projective readout.
     joints = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma_strong))
-    reading_s, post_s = read_pointer(joints, rng)
+    with guard("weak_ensemble", "strong-limit shot"):
+        reading_s, post_s = read_pointer(joints, rng)
     dist = born_probabilities(post_s, "spin")
     top = max(dist.values())
     checks.append(Check("strong_limit_collapse", "ge", 0.999, top, 0.0, "pointer-overlap bound"))

@@ -16,7 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ketsim import ParameterError, run_scenario
@@ -60,8 +61,7 @@ def _outcome(name, params, seed):
 
 
 def check_scenario(name):
-    @settings(max_examples=EXAMPLES, deadline=None, database=None, derandomize=True,
-              suppress_health_check=list(HealthCheck))
+    @settings(max_examples=EXAMPLES, deadline=None, database=None, derandomize=True)
     @given(params=_draws(name), seed=st.integers(0, 2**16))
     def draw(params, seed):
         first = _outcome(name, params, seed)
@@ -76,6 +76,13 @@ def run_all():
     for name in catalog():
         check_scenario(name)
     print("checked", len(catalog()))
+
+
+def test_a_pointer_too_wide_to_resolve_is_a_step_failure():
+    # Its amplitudes fall below the 1e-15 prune floor, so a reading can
+    # have no weight left; that is an impossible outcome of a named step.
+    with pytest.raises(StepFailure, match="gentle single shots"):
+        run_scenario("weak_ensemble", {"sigma_single": 6.100974799973683e27})
 
 
 def _limit_address_space():
