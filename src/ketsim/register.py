@@ -26,7 +26,9 @@ entry's signed zeros) is keyed by its exact bits. A build that raises
 stores nothing, so an invalid argument raises on every call; a key with an
 unhashable argument builds afresh. Checks that read the state (a relabel's
 permutation check, a readout's probability floor and norm check) run on
-every call. The memo holds at most PLAN_MEMO_SIZE plans.
+every call. The memo holds at most PLAN_MEMO_SIZE plans. It caches pure
+values only: threads that share a register may build one plan more than
+once, and every copy is equal.
 """
 
 from __future__ import annotations
