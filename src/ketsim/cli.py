@@ -1,9 +1,9 @@
 """Command-line front end: list scenarios, run one, sweep a parameter.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (the report is
-still written); 2 usage errors, unknown scenarios, or out-of-range
-parameters; 3 a timeline step hit an impossible outcome; 4 an internal error
-(any other exception).
+still written); 2 usage errors, unknown scenarios, out-of-range parameters
+or a negative seed; 3 a timeline step hit an impossible outcome; 4 an
+internal error (any other exception).
 """
 
 from __future__ import annotations

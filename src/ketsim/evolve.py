@@ -73,19 +73,6 @@ def _apply_columns(state: StateVector, sub_index: int, columns: dict) -> StateVe
     return StateVector(state.register, prune(new_amps))
 
 
-def _apply_label_matrix(
-    state: StateVector,
-    sub_index: int,
-    label_indices: Sequence[int],
-    matrix: Sequence[Sequence[complex]],
-) -> StateVector:
-    """Apply a small unitary over the given labels of one subsystem.
-
-    Keys whose label is outside `label_indices` pass through untouched.
-    """
-    return _apply_columns(state, sub_index, _label_columns(label_indices, matrix))
-
-
 def _complex_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     return ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
 

@@ -109,7 +109,7 @@ def make_step(
         label=label,
         support=state.support() if state is not None else 0,
         state=summarize_state(state, top_k) if state is not None else (),
-        distribution=(distribution[0], dict(distribution[1])) if distribution else None,
+        distribution=(distribution[0], {k: float(p) for k, p in distribution[1].items()}) if distribution else None,
         events=tuple((k, float(v)) for k, v in (events or {}).items()),
         entropies=tuple((k, float(v)) for k, v in (entropies or {}).items()),
     )
@@ -161,27 +161,10 @@ def _fmt_null(_) -> str:
     return "null"
 
 
-# Formatter of each scalar type, looked up by exact type. Instances of
-# subclasses (np.float64, IntEnum) miss it and go through _json_type, which
-# writes an int subclass by value: Python 3.10's str(IntEnum) is its name.
+# Formatter of each scalar type, looked up by exact type: reports hold
+# plain Python values, so a subclass (np.float64, IntEnum) is refused.
 _SCALARS = {float: _fmt_float, str: _fmt_str, bool: _fmt_bool, int: str, type(None): _fmt_null}
-_SUBCLASS_SCALARS = {**_SCALARS, int: int.__repr__}
 _CONTAINERS = (dict, list, tuple)
-
-
-def _json_type(obj) -> type:
-    """The serialized type of an instance of a subclass (np.float64, IntEnum, ...)."""
-    for base in (dict, list, tuple, bool, int, float, str):
-        if isinstance(obj, base):
-            return base
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _key_text(k) -> str:
-    """A non-str dict key as text; an int subclass (IntEnum) by its value."""
-    if isinstance(k, int) and not isinstance(k, bool):
-        return int.__repr__(k)
-    return str(k)
 
 
 def _dump(obj, pad: str) -> str:
@@ -195,19 +178,17 @@ def _dump(obj, pad: str) -> str:
     if fmt is not None:
         return fmt(obj)
     if kind not in _CONTAINERS:
-        kind = _json_type(obj)
-        fmt = _SUBCLASS_SCALARS.get(kind)
-        if fmt is not None:
-            return fmt(obj)
+        raise TypeError(f"cannot serialize {kind.__name__}")
     if not obj:
         return "{}" if kind is dict else "[]"
     inner = pad + "  "
     parts = []
     if kind is dict:
         for k, v in obj.items():
+            if type(k) is not str:
+                raise TypeError(f"cannot serialize {type(k).__name__} key")
             fmt = _SCALARS.get(type(v))
-            key = k if type(k) is str else _key_text(k)
-            parts.append(_fmt_str(key) + ": " + (fmt(v) if fmt is not None else _dump(v, inner)))
+            parts.append(_fmt_str(k) + ": " + (fmt(v) if fmt is not None else _dump(v, inner)))
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
     nested = False
     for v in obj:
@@ -215,8 +196,9 @@ def _dump(obj, pad: str) -> str:
         if fmt is not None:
             parts.append(fmt(v))
         else:
-            nested = nested or isinstance(v, _CONTAINERS)
+            # _dump refuses every non-scalar but an exact container
             parts.append(_dump(v, inner))
+            nested = True
     if not nested and len(parts) <= 4:
         return "[" + ", ".join(parts) + "]"
     return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
@@ -225,9 +207,10 @@ def _dump(obj, pad: str) -> str:
 def dumps_json(obj) -> str:
     """obj as JSON text in the layout of _dump, with a final newline.
 
-    Floats carry 17 significant digits and non-finite ones raise ValueError;
-    a value of any type but dict, list, tuple, str, int, float, bool or None
-    (or a subclass of one) raises TypeError.
+    Floats carry 17 significant digits and non-finite ones raise ValueError.
+    Types are matched exactly: a value whose type is not dict, list, tuple,
+    str, int, float, bool or None (a subclass such as np.float64 or IntEnum
+    included), or a dict key that is not a str, raises TypeError.
     """
     return _dump(obj, "") + "\n"
 
@@ -280,14 +263,6 @@ def report_to_json(report: ScenarioReport) -> str:
     return dumps_json(report_to_jsonable(report))
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
-
-
 def report_to_csv(report: ScenarioReport) -> str:
     """Flat check table: one row per check."""
     buf = io.StringIO()
@@ -300,10 +275,10 @@ def report_to_csv(report: ScenarioReport) -> str:
                 report.seed,
                 c.name,
                 c.mode,
-                _csv_cell(c.expected),
-                _csv_cell(c.actual),
-                _csv_cell(c.tolerance),
-                _csv_cell(c.passed),
+                _fmt_float(c.expected),
+                _fmt_float(c.actual),
+                _fmt_float(c.tolerance),
+                _fmt_bool(c.passed),
                 c.note,
             ]
         )
@@ -323,9 +298,9 @@ def sweep_to_csv(param: str, points: Sequence[tuple[float, ScenarioReport]]) -> 
         if sorted(row_checks) != sorted(names):
             raise ValueError("sweep points disagree on check names; cannot tabulate")
         w.writerow(
-            [_csv_cell(float(value))]
-            + [_csv_cell(row_checks[n].actual) for n in names]
-            + [_csv_cell(report.all_passed)]
+            [_fmt_float(float(value))]
+            + [_fmt_float(row_checks[n].actual) for n in names]
+            + [_fmt_bool(report.all_passed)]
         )
     return buf.getvalue()
 

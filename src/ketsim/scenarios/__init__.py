@@ -10,6 +10,7 @@ share a stream for the same seed.
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -163,6 +164,12 @@ def run_scenario(name: str, params: Mapping | None = None, seed: int = 0) -> Sce
         scenario = catalog()[name]
     except KeyError:
         raise ParameterError(f"unknown scenario {name!r}") from None
+    try:
+        seed = operator.index(seed)  # a plain int, as the report must hold
+    except TypeError:
+        pass
+    if type(seed) is not int or seed < 0:
+        raise ParameterError(f"seed expects a non-negative integer, got {seed!r}")
     resolved = resolve_params(scenario, params)
     steps, checks, notes = scenario.run(resolved, seed)
     return ScenarioReport(

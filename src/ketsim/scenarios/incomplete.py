@@ -230,10 +230,14 @@ WEAK_ENSEMBLE = Scenario(
     "narrow-pointer collapse limit.",
     (
         ParamSpec("g", "float", 1.0, low=1e-6, doc="pointer kick per unit eigenvalue"),
-        ParamSpec("sigma", "float", 10.0, low=0.5, doc="pointer width for the ensemble run"),
+        ParamSpec("sigma", "float", 10.0, low=0.5, high=1e150,
+                  doc="pointer width for the ensemble run; at most 1e150, so the pointer "
+                  "Gaussian's square stays finite on its +-10 sigma grid (it overflows above 1.34e153)"),
         ParamSpec("n_shots", "int", 10000, low=100, high=200000, doc="ensemble size"),
         ParamSpec("singles", "int", 200, low=10, high=5000, doc="single-shot fidelity samples"),
-        ParamSpec("sigma_single", "float", 20.0, low=5.0, doc="pointer width for the gentleness run"),
+        ParamSpec("sigma_single", "float", 20.0, low=5.0, high=1e150,
+                  doc="pointer width for the gentleness run; at most 1e150, so the pointer "
+                  "Gaussian's square stays finite on its +-10 sigma grid (it overflows above 1.34e153)"),
         ParamSpec("sigma_strong", "float", 0.1, low=0.01, high=1.0, doc="pointer width for the strong limit"),
     ),
     _run_weak_ensemble,

@@ -216,7 +216,7 @@ def _ref_write_json(obj, out: list, indent: int) -> None:
 
 
 def reference_dumps_json(obj) -> str:
-    """report.dumps_json's bytes, from the recursive isinstance-chain writer."""
+    """report.dumps_json's bytes for plain values, from the recursive isinstance-chain writer."""
     out: list[str] = []
     _ref_write_json(obj, out, 0)
     out.append("\n")

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ketsim
 import ketsim.cli as cli
+from ketsim.report import report_to_json
 from ketsim.scenarios import StepFailure
 
 
@@ -116,6 +118,9 @@ def test_partial_erasure_balanced_target_takes_no_step(capsys):
         # the strong pointer would need more than 2**20 grid points
         ("run", "weak_ensemble", "--param", "sigma_strong=0.01", "--param", "g=300"),
         ("run", "qo_core", "--param", "bogus=1"),
+        # a seed is a non-negative integer, also where no scenario step draws
+        ("run", "weak_ensemble", "--seed", "-1"),
+        ("run", "qo_core", "--seed", "-1"),
         ("run", "zeno_basic", "--param", "alpha=spam"),
         ("run", "zeno_basic", "--param", "alpha=2.0"),
         ("run", "dicke_tray_spoon", "--param", "l_spoon=0.0"),
@@ -140,6 +145,19 @@ def test_usage_errors_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err.startswith("ketsim: ")
+
+
+@pytest.mark.parametrize("seed", [3.0, "3", None])
+def test_run_scenario_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ketsim.ParameterError, match="seed expects a non-negative integer"):
+        ketsim.run_scenario("qo_core", seed=seed)
+
+
+def test_a_numpy_integer_seed_gives_the_same_bytes_as_a_plain_one():
+    params = {"n_shots": 200, "singles": 20}
+    report = ketsim.run_scenario("weak_ensemble", params, seed=np.int64(3))
+    assert type(report.seed) is int
+    assert report_to_json(report) == report_to_json(ketsim.run_scenario("weak_ensemble", params, seed=3))
 
 
 def test_partial_erasure_past_the_step_cap_is_refused_before_walking(capsys):

@@ -19,7 +19,7 @@ from ketsim import (
     superpose,
     time_reverse,
 )
-from ketsim.evolve import _apply_label_matrix, _check_unitary_2x2
+from ketsim.evolve import _apply_columns, _check_unitary_2x2, _label_columns
 from ketsim.register import PRUNE_TOL, StateVector, prune
 
 import oracles
@@ -286,7 +286,7 @@ def test_recombine_probability_rejects_repeated_labels(pair, source):
 
 
 def row_walk_label_matrix(amplitudes, sub_index, label_indices, matrix):
-    # Reference: _apply_label_matrix as a walk over the matrix rows for
+    # Reference: a label matrix applied as a walk over the matrix rows for
     # each key. The per-label columns must give the same bits in the same
     # key order.
     pos = {li: p for p, li in enumerate(label_indices)}
@@ -345,7 +345,7 @@ def test_label_matrix_matches_the_row_by_row_walk(labels, matrix, seed):
     amps = {keys[i]: complex(rng.normal(), rng.normal()) for i in chosen}
     amps[keys[chosen[0]]] = complex(-0.0, rng.normal())
     state = StateVector(reg, amps)
-    out = _apply_label_matrix(state, 1, labels, matrix)
+    out = _apply_columns(state, 1, _label_columns(labels, matrix))
     ref = row_walk_label_matrix(amps, 1, labels, matrix)
     assert list(out.amplitudes.items()) == list(ref.items())
     assert bits(out.amplitudes) == bits(ref)
@@ -360,7 +360,7 @@ def test_label_matrix_prunes_amplitudes_that_cancel():
         amps = {(0, 1, 0): S2 + 0j, (1, 5, 2): 0.5j, (0, 2, 0): complex(a2)}
         raw = 0.5 * S2 - 0.5 * a2
         assert abs(raw) < PRUNE_TOL
-        out = _apply_label_matrix(StateVector(reg, amps), 1, (0, 1, 2), SPLITTER)
+        out = _apply_columns(StateVector(reg, amps), 1, _label_columns((0, 1, 2), SPLITTER))
         ref = row_walk_label_matrix(amps, 1, (0, 1, 2), SPLITTER)
         assert list(out.amplitudes.items()) == list(ref.items())
         assert list(out.amplitudes) == [(0, 0, 0), (1, 5, 2)]

@@ -1,5 +1,6 @@
-"""Every parameter set a scenario's ParamSpec schema admits ends in a report,
-a ParameterError or a StepFailure, never in another exception.
+"""Every parameter set a scenario's ParamSpec schema admits ends in a report
+that serializes as JSON and CSV, a ParameterError or a StepFailure, never in
+another exception; a numpy floating-point warning counts as an exception.
 
 Hypothesis draws each parameter from its schema range (or takes its
 default), with the work-count parameters n_shots, singles and cycles capped
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ketsim import ParameterError, run_scenario
+from ketsim.report import report_to_csv, report_to_json
 from ketsim.scenarios import StepFailure, catalog
 
 # Work-count parameters are drawn at most this large.
@@ -54,9 +56,13 @@ def _draws(name):
 
 def _outcome(name, params, seed):
     try:
-        run_scenario(name, params, seed=seed)
+        report = run_scenario(name, params, seed=seed)
     except (ParameterError, StepFailure) as exc:
         return type(exc), str(exc)
+    # a value the writers cannot take (a numpy scalar, a non-finite float)
+    # fails here rather than in the CLI
+    report_to_json(report)
+    report_to_csv(report)
     return None
 
 
@@ -85,6 +91,13 @@ def test_a_pointer_too_wide_to_resolve_is_a_step_failure():
         run_scenario("weak_ensemble", {"sigma_single": 6.100974799973683e27})
 
 
+@pytest.mark.parametrize("name", ["sigma", "sigma_single"])
+def test_a_pointer_wide_enough_to_overflow_its_grid_is_refused(name):
+    # On the +-10 sigma grid the Gaussian's square overflows at this width.
+    with pytest.raises(ParameterError, match=f"parameter '{name}'.*above allowed range"):
+        run_scenario("weak_ensemble", {name: 1.3407807929942598e153})
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
 
@@ -94,7 +107,7 @@ def test_every_schema_draw_ends_in_a_report_or_a_named_error():
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", "import test_schema_contract as t; t.run_all()"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", "import test_schema_contract as t; t.run_all()"],
         env=env, capture_output=True, text=True, timeout=600, preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
