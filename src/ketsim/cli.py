@@ -1,9 +1,9 @@
 """Command-line front end: list scenarios, run one, sweep a parameter.
 
 Exit codes: 0 all checks passed; 1 at least one check failed (the report is
-still written); 2 usage errors, unknown scenarios, out-of-range parameters
-or a negative seed; 3 a timeline step hit an impossible outcome; 4 an
-internal error (any other exception).
+still written); 2 usage errors, unknown scenarios, out-of-range parameters,
+a negative seed or an --out path that cannot be written; 3 a timeline step
+hit an impossible outcome; 4 an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import ParameterError
-from .report import dumps_json, report_to_csv, report_to_json, sweep_to_csv, write_output
+from .report import dumps_json, report_to_csv, report_to_json, report_to_jsonable, sweep_to_csv, write_output
 from .scenarios import StepFailure, list_scenarios, run_scenario
 
 
@@ -75,6 +75,16 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
+def _emit(text: str, path: str | None) -> None:
+    """write_output, with a file that cannot be written as a usage error."""
+    try:
+        write_output(text, path)
+    except OSError as exc:
+        if path is None:
+            raise
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_list(args) -> int:
     entries = list_scenarios()
     if args.format == "json":
@@ -84,7 +94,7 @@ def _cmd_list(args) -> int:
                 for name, schema, summary in entries
             ]
         }
-        write_output(dumps_json(payload), args.out)
+        _emit(dumps_json(payload), args.out)
         return 0
     lines = []
     for name, schema, summary in entries:
@@ -96,7 +106,7 @@ def _cmd_list(args) -> int:
                 bounds = f" [{info['low']} .. {info['high']}]"
             lines.append(f"  --param {pname}={info['default']} ({info['kind']}{bounds}) {info['doc']}")
         lines.append("")
-    write_output("\n".join(lines), args.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -104,7 +114,7 @@ def _cmd_run(args) -> int:
     overrides = _split_params(args.param)
     report = run_scenario(args.scenario, overrides, seed=args.seed)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    write_output(text, args.out)
+    _emit(text, args.out)
     return 0 if report.all_passed else 1
 
 
@@ -122,8 +132,6 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         text = sweep_to_csv(name, points)
     else:
-        from .report import report_to_jsonable
-
         text = dumps_json(
             {
                 "scenario": args.scenario,
@@ -131,7 +139,7 @@ def _cmd_sweep(args) -> int:
                 "points": [report_to_jsonable(r) for _v, r in points],
             }
         )
-    write_output(text, args.out)
+    _emit(text, args.out)
     return 0 if all(r.all_passed for _v, r in points) else 1
 
 

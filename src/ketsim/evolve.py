@@ -2,17 +2,17 @@
 
 Every operation here acts as an exact unitary on the joint basis (splitters,
 in-place rotations, basis changes between label pairs, conditional label
-permutations, conditional phases). Operations optionally append a parameter
-record to an OpLog; time_reverse replays the inverse parameters in reverse
-order, so round trips are exact rather than numerically approximate.
+permutations, conditional phases). Operations optionally append their
+inverse to an OpLog, as the call that undoes them; time_reverse makes those
+calls in reverse order, so round trips are exact rather than numerically
+approximate.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .register import Register, StateVector, fold_sum, matches, prune
 
@@ -21,25 +21,21 @@ Matrix2 = Sequence[Sequence[complex]]
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class OpEntry:
-    """One logged operation: a kind tag plus the parameters that rebuilt it."""
-
-    kind: str
-    params: tuple
-
-
 class OpLog:
-    """Append-only record of operations applied during one scenario run."""
+    """Append-only record of operations applied during one scenario run.
+
+    Each entry is (inverse, args): inverse(state, *args) undoes the logged
+    operation. args hold their own copies of the caller's pairs and maps.
+    """
 
     def __init__(self) -> None:
-        self._entries: list[OpEntry] = []
+        self._entries: list[tuple[Callable, tuple]] = []
 
-    def record(self, kind: str, params: tuple) -> None:
-        self._entries.append(OpEntry(kind, params))
+    def record(self, inverse: Callable, args: tuple) -> None:
+        self._entries.append((inverse, args))
 
     @property
-    def entries(self) -> tuple[OpEntry, ...]:
+    def entries(self) -> tuple[tuple[Callable, tuple], ...]:
         return tuple(self._entries)
 
     def __len__(self) -> int:
@@ -144,7 +140,7 @@ def apply_split(
     out = _apply_columns(state, si, columns)
     if log is not None:
         l1, l2 = out_pair
-        log.record("split", (subsystem, source_label, (l1, l2)))
+        log.record(apply_split, (subsystem, source_label, (l1, l2)))  # self-inverse
     return out
 
 
@@ -176,7 +172,7 @@ def apply_rotation(
     out = _apply_columns(state, si, columns)
     if log is not None:
         la, lb = pair
-        log.record("rotation", (subsystem, (la, lb), alpha))
+        log.record(apply_rotation, (subsystem, (la, lb), -alpha))
     return out
 
 
@@ -225,7 +221,7 @@ def apply_basis_change(
     si, columns = state.register.plan((_basis_plan, subsystem, _matrix_bits(m), pair, out_pair))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        log.record("basis_change", (subsystem, m, pair, out_pair))
+        log.record(apply_basis_change, (subsystem, _dagger(m), tuple(pair), out_pair and tuple(out_pair)))
     return out
 
 
@@ -256,7 +252,7 @@ def controlled_relabel(
     cond_items = reg.partial_items(condition)
     if not mapping:
         if log is not None:
-            log.record("relabel", (tuple(condition.items()), ()))
+            log.record(controlled_relabel, (dict(condition), []))
         return StateVector(reg, dict(state.amplitudes))
 
     keysets = {frozenset(frm) for frm, _ in mapping}
@@ -310,13 +306,8 @@ def controlled_relabel(
     for src, dst in moves.items():
         new_amps[dst] = state.amplitudes[src]
     if log is not None:
-        log.record(
-            "relabel",
-            (
-                tuple(condition.items()),
-                tuple((tuple(frm.items()), tuple(to.items())) for frm, to in mapping),
-            ),
-        )
+        # the inverse keeps the condition and flips the pairs
+        log.record(controlled_relabel, (dict(condition), [(dict(to), dict(frm)) for frm, to in mapping]))
     return StateVector(reg, new_amps)
 
 
@@ -334,38 +325,21 @@ def controlled_phase(
         k: (a * phase if matches(k, cond_items) else a) for k, a in state.amplitudes.items()
     }
     if log is not None:
-        log.record("phase", (tuple(condition.items()), phi))
+        log.record(controlled_phase, (dict(condition), -phi))
     return StateVector(reg, new_amps)
 
 
 def time_reverse(state: StateVector, log: OpLog) -> StateVector:
-    """Apply the inverse of every logged operation in reverse order.
+    """Make every logged inverse call, last operation first.
 
-    Inverses come from the logged parameters, not from matrix inversion, so
-    the round trip is exact: the splitter is its own inverse, rotations flip
-    the angle, basis changes use u†, relabelings flip their pairs, phases
-    flip sign.
+    The inverses were logged with their parameters, not found by matrix
+    inversion, so the round trip is exact: the splitter is its own inverse,
+    rotations flip the angle, basis changes use u†, relabelings flip their
+    pairs, phases flip sign.
     """
     out = state
-    for entry in reversed(log.entries):
-        if entry.kind == "split":
-            subsystem, source_label, out_pair = entry.params
-            out = apply_split(out, subsystem, source_label, out_pair)
-        elif entry.kind == "rotation":
-            subsystem, pair, alpha = entry.params
-            out = apply_rotation(out, subsystem, pair, -alpha)
-        elif entry.kind == "basis_change":
-            subsystem, m, pair, out_pair = entry.params
-            out = apply_basis_change(out, subsystem, _dagger(m), pair, out_pair)
-        elif entry.kind == "relabel":
-            cond, mapping = entry.params
-            flipped = [(dict(to), dict(frm)) for frm, to in mapping]
-            out = controlled_relabel(out, dict(cond), flipped)
-        elif entry.kind == "phase":
-            cond, phi = entry.params
-            out = controlled_phase(out, dict(cond), -phi)
-        else:
-            raise ValueError(f"log contains a non-invertible entry kind {entry.kind!r}")
+    for inverse, args in reversed(log.entries):
+        out = inverse(out, *args)
     return out
 
 

@@ -3,9 +3,11 @@
 A report is a timeline of steps (state summaries, outcome distributions,
 named event probabilities, cut entropies) plus a list of checks, each
 carrying its expected value, the tolerance regime, and a note naming the
-oracle that produced the expected value. Serialization is byte-stable:
-floats are always written with 17 significant digits (enough to round-trip
-IEEE doubles exactly), so identical runs produce identical bytes.
+oracle that produced the expected value. make_step builds each step as the
+JSON object the report writes, and serialization passes it through as it
+is. Serialization is byte-stable: floats are always written with 17
+significant digits (enough to round-trip IEEE doubles exactly), so
+identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -64,55 +66,41 @@ class Check:
         object.__setattr__(self, "passed", bool(ok))
 
 
-@dataclass(frozen=True)
-class Step:
-    """One timeline entry: a labeled snapshot of the run."""
-
-    label: str
-    support: int = 0
-    state: tuple = ()
-    distribution: tuple | None = None  # (subsystem, {label: probability})
-    events: tuple = ()  # ((name, value), ...)
-    entropies: tuple = ()  # ((cut label, bits), ...)
-
-    def __post_init__(self) -> None:
-        if self.distribution is not None:
-            _, probs = self.distribution
-            total = fold_sum(probs.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"step distribution sums to {total!r}, not 1 within 1e-9")
-
-
-def summarize_state(state: StateVector, top_k: int = TOP_K) -> tuple:
-    """Top-k basis terms by weight: (assignment, re, im, probability) each.
-
-    Ties break on the basis key, so the summary is deterministic.
-    """
-    reg = state.register
-    ranked = sorted(state.amplitudes.items(), key=lambda kv: (-abs(kv[1]) ** 2, kv[0]))
-    out = []
-    for key, amp in ranked[:top_k]:
-        c = complex(amp)
-        out.append((reg.assignment(key), c.real, c.imag, abs(c) ** 2))
-    return tuple(out)
-
-
 def make_step(
     label: str,
     state: StateVector | None = None,
     distribution: tuple[str, Mapping[str, float]] | None = None,
     events: Mapping[str, float] | None = None,
     entropies: Mapping[str, float] | None = None,
-    top_k: int = TOP_K,
-) -> Step:
-    return Step(
-        label=label,
-        support=state.support() if state is not None else 0,
-        state=summarize_state(state, top_k) if state is not None else (),
-        distribution=(distribution[0], {k: float(p) for k, p in distribution[1].items()}) if distribution else None,
-        events=tuple((k, float(v)) for k, v in (events or {}).items()),
-        entropies=tuple((k, float(v)) for k, v in (entropies or {}).items()),
-    )
+) -> dict:
+    """One timeline entry as its JSON object.
+
+    Keys, in this order: label; support and the TOP_K heaviest state terms
+    (ties break on the basis key), when the state has terms; then
+    distribution, events and entropies, each when given. Numbers are plain
+    floats, and a distribution must sum to 1 within 1e-9.
+    """
+    step: dict = {"label": label}
+    if state is not None and state.amplitudes:
+        reg = state.register
+        ranked = sorted(state.amplitudes.items(), key=lambda kv: (-abs(kv[1]) ** 2, kv[0]))
+        step["support"] = state.support()
+        step["state"] = [
+            {"assignment": reg.assignment(key), "amplitude": [c.real, c.imag], "probability": abs(c) ** 2}
+            for key, c in ((k, complex(a)) for k, a in ranked[:TOP_K])
+        ]
+    if distribution:
+        subsystem, probs = distribution
+        probs = {k: float(p) for k, p in probs.items()}
+        total = fold_sum(probs.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"step distribution sums to {total!r}, not 1 within 1e-9")
+        step["distribution"] = {"subsystem": subsystem, "probabilities": probs}
+    if events:
+        step["events"] = {k: float(v) for k, v in events.items()}
+    if entropies:
+        step["entropies"] = {k: float(v) for k, v in entropies.items()}
+    return step
 
 
 @dataclass(frozen=True)
@@ -120,7 +108,7 @@ class ScenarioReport:
     scenario: str
     params: dict
     seed: int
-    steps: tuple[Step, ...]
+    steps: tuple[dict, ...]  # make_step objects
     checks: tuple[Check, ...]
     notes: tuple[str, ...] = ()
 
@@ -216,34 +204,13 @@ def dumps_json(obj) -> str:
 
 
 def report_to_jsonable(report: ScenarioReport) -> dict:
-    steps = []
-    for s in report.steps:
-        entry: dict = {"label": s.label}
-        if s.state:
-            entry["support"] = s.support
-            entry["state"] = [
-                {
-                    "assignment": assignment,
-                    "amplitude": [re, im],
-                    "probability": prob,
-                }
-                for assignment, re, im, prob in s.state
-            ]
-        if s.distribution is not None:
-            subsystem, probs = s.distribution
-            entry["distribution"] = {"subsystem": subsystem, "probabilities": dict(probs)}
-        if s.events:
-            entry["events"] = dict(s.events)
-        if s.entropies:
-            entry["entropies"] = dict(s.entropies)
-        steps.append(entry)
     return {
         "scenario": report.scenario,
         "seed": report.seed,
         "params": dict(report.params),
         "all_passed": report.all_passed,
         "notes": list(report.notes),
-        "steps": steps,
+        "steps": list(report.steps),
         "checks": [
             {
                 "name": c.name,

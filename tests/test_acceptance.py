@@ -198,7 +198,7 @@ def test_03_entanglement_rises_then_dissolves():
     def timeline(report, key):
         out = []
         for step in report.steps:
-            for name, bits in step.entropies:
+            for name, bits in step.get("entropies", {}).items():
                 if name == key:
                     out.append(bits)
         return out

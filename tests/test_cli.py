@@ -147,6 +147,24 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("ketsim: ")
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("run", "qo_core"), "missing/r.json"),
+        (("run", "qo_core"), "taken"),
+        (("list",), "missing/x"),
+    ],
+)
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path, argv, where):
+    (tmp_path / "taken").mkdir()
+    target = tmp_path / where
+    rc, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert rc == 2 and out == ""
+    # one line that names the path, and no temporary file left behind
+    assert err.startswith(f"ketsim: cannot write --out {target}: ") and err.count("\n") == 1
+    assert list(tmp_path.rglob(".ketsim-*")) == []
+
+
 @pytest.mark.parametrize("seed", [3.0, "3", None])
 def test_run_scenario_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ketsim.ParameterError, match="seed expects a non-negative integer"):

@@ -4,7 +4,10 @@ Each entry is the sha256 of `report_to_json` for one scenario at defaults and
 one seed, plus two `sweep_to_csv` hashes at seed 0: `dicke_tray_spoon` over
 l_spoon=0.1:0.01:20 (window projections on 4096- to 32768-point grids) and
 `weak_ensemble` over g=0.5:1.5:10 at n_shots=1000 (pointer sampling at ten
-kicks, the sweep the benchmark's weak_sweep workload runs).
+kicks, the sweep the benchmark's weak_sweep workload runs). One more entry
+hashes the stdout of `ketsim sweep zeno_basic --param alpha=0.157:0.0785:3
+--format json`, the README's sweep, which writes every point's report
+through `report_to_jsonable`.
 
 A hash may change only in a change whose CHANGES.md entry says which entries
 moved and why. To print the current hashes:
@@ -12,12 +15,15 @@ moved and why. To print the current hashes:
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_hashes()"
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import sys
 
 import numpy as np
 
+import ketsim.cli as cli
 from ketsim import run_scenario
 from ketsim.report import report_to_json, sweep_to_csv
 from ketsim.scenarios import catalog
@@ -25,6 +31,8 @@ from ketsim.scenarios import catalog
 SEEDS = (0, 7)
 SWEEP_KEY = "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20"
 WEAK_SWEEP_KEY = "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000"
+ZENO_SWEEP_ARGV = ("sweep", "zeno_basic", "--param", "alpha=0.157:0.0785:3", "--format", "json")
+ZENO_SWEEP_KEY = "zeno_basic/sweep alpha=0.157:0.0785:3 --format json"
 
 GOLDEN = {
     "qo_core/0": "aad8526d4e5294ab7718887a3461774322f69dd8b724e3ff310f9cbaca97e9d7",
@@ -55,6 +63,7 @@ GOLDEN = {
     "ab_toy/7": "64aaf063646d3d34d0c2442a1abcf78c4a2b94bdf7faeecd2ffbb8475dcd547b",
     "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "75d0ce6a8ba61a11ff5c63ed2f872a8dd07abbd24975d0bc4bba844789a12a6b",
     "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000": "238f32032466db6b0c18974e01e9af5c48d7810e32e05fe26a6ed9bfe20c799b",
+    "zeno_basic/sweep alpha=0.157:0.0785:3 --format json": "32b42f6e687c03934ded67c3fae393a774411413fde26ca92dd2797470436723",
 }
 
 
@@ -78,6 +87,10 @@ def current_hashes() -> dict[str, str]:
         for v in np.linspace(0.5, 1.5, 10)
     ]
     out[WEAK_SWEEP_KEY] = _sha(sweep_to_csv("g", weak))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(list(ZENO_SWEEP_ARGV)) == 0
+    out[ZENO_SWEEP_KEY] = _sha(stdout.getvalue())
     return out
 
 

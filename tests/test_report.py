@@ -10,14 +10,13 @@ import ketsim.cli as cli
 from ketsim import new_register, run_scenario, superpose
 from ketsim.report import (
     Check,
+    TOP_K,
     ScenarioReport,
-    Step,
     dumps_json,
     make_step,
     report_to_csv,
     report_to_json,
     report_to_jsonable,
-    summarize_state,
     sweep_to_csv,
     write_output,
 )
@@ -62,28 +61,35 @@ def test_check_normalizes_numpy_scalars():
 def test_make_step_normalizes_numpy_scalars():
     half = np.float64(0.5)
     step = make_step("s", distribution=("d", {"a": half, "b": half}), events={"e": half}, entropies={"c": half})
-    assert [type(v) for v in step.distribution[1].values()] == [float, float]
-    assert type(step.events[0][1]) is float and type(step.entropies[0][1]) is float
+    assert [type(v) for v in step["distribution"]["probabilities"].values()] == [float, float]
+    assert type(step["events"]["e"]) is float and type(step["entropies"]["c"]) is float
 
 
 def test_step_distribution_must_sum_to_one():
     with pytest.raises(ValueError):
-        Step("s", distribution=("d", {"a": 0.5, "b": 0.4}))
-    Step("s", distribution=("d", {"a": 0.5, "b": 0.5}))
+        make_step("s", distribution=("d", {"a": 0.5, "b": 0.4}))
+    make_step("s", distribution=("d", {"a": 0.5, "b": 0.5}))
 
 
-def test_summarize_state_ranks_by_weight_with_key_tiebreak():
-    reg = new_register([("a", ("0", "1")), ("b", ("x", "y"))])
+def test_make_step_ranks_state_rows_by_weight_with_key_tiebreak():
+    reg = new_register([("a", ("0", "1", "2")), ("b", ("x", "y", "z"))])
+    light = [(0.1, {"a": a, "b": b}) for a, b in (("0", "z"), ("1", "z"), ("2", "x"), ("2", "y"), ("2", "z"))]
     state = superpose(
         reg,
-        [(0.8, {"a": "1", "b": "y"}), (0.4, {"a": "0", "b": "x"}), (0.4, {"a": "0", "b": "y"}), (0.2, {"a": "1", "b": "x"})],
+        [(0.8, {"a": "1", "b": "y"}), (0.4, {"a": "0", "b": "x"}), (0.4, {"a": "0", "b": "y"}), (0.2, {"a": "1", "b": "x"})]
+        + light,
     )
-    rows = summarize_state(state)
-    assert rows[0][0] == {"a": "1", "b": "y"}
-    assert rows[1][0] == {"a": "0", "b": "x"}  # tie with (0,1) broken by key order
-    assert rows[2][0] == {"a": "0", "b": "y"}
-    assert [r[3] for r in rows] == sorted((r[3] for r in rows), reverse=True)
-    assert len(summarize_state(state, top_k=2)) == 2
+    step = make_step("s", state)
+    rows = step["state"]
+    assert step["support"] == 9  # every term, not just the summarized ones
+    assert len(rows) == TOP_K == 8
+    assert rows[0]["assignment"] == {"a": "1", "b": "y"}
+    assert rows[1]["assignment"] == {"a": "0", "b": "x"}  # tie with (0,1) broken by key order
+    assert rows[2]["assignment"] == {"a": "0", "b": "y"}
+    assert rows[3]["assignment"] == {"a": "1", "b": "x"}
+    # five-way tie: the first four in key order, (2,2) left out
+    assert [r["assignment"] for r in rows[4:]] == [a for _, a in light[:4]]
+    assert [r["probability"] for r in rows] == sorted((r["probability"] for r in rows), reverse=True)
 
 
 def test_json_round_trips_and_is_exact():

@@ -181,7 +181,7 @@ def test_zeno_basic_cycle_cap():
         run_scenario("zeno_basic", {"cycles": 128})
     # the alpha floor keeps the derived quarter-turn count at or under the cap
     report = run_scenario("zeno_basic", {"alpha": 0.0124, "cycles": 0})
-    events = {k: v for step in report.steps for k, v in step.events}
+    events = {k: v for step in report.steps for k, v in step.get("events", {}).items()}
     assert events["cycles_run"] == 127.0
     assert checks_by_name(report)["survival_probability"].actual > 0.97
 
