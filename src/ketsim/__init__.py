@@ -4,19 +4,16 @@ Registers hold named subsystems with named basis labels; states are sparse
 complex maps over joint assignments.  Evolution primitives (splits,
 rotations, basis changes, conditional relabels and phases) are unitary and
 exactly reversible through an operation log.  Measurement utilities cover
-Born statistics, projections, postselection, partial-strength couplings,
-and pointer-based weak readout; entanglement utilities cover Schmidt
-spectra and entropies.  A scenario catalog packages multi-stage thought
-experiments behind one reporting interface and a CLI.
+Born statistics, projections, postselection, partial-readout outcomes and
+their erasure, and pointer-based weak readout; entanglement utilities cover
+Schmidt spectra and entropies.  A scenario catalog packages multi-stage
+thought experiments behind one reporting interface and a CLI.
 """
 
 from .entangle import (
-    DensityMatrix,
     SchmidtSpectrum,
     cut_entropy,
     entropy,
-    is_product,
-    partial_trace,
     schmidt,
 )
 from .errors import ImpossibleOutcomeError, ParameterError
@@ -43,20 +40,17 @@ from .grid import (
 )
 from .measure import (
     MeasurementRecord,
-    PartialStrength,
     WeakParams,
     apply_partial_outcome,
     born_probabilities,
     erase_partial,
     joint_probability,
-    partial_measure,
     pointer_fidelities,
     pointer_readings,
     postselect,
     postselect_out,
     project,
     read_pointer,
-    sample_measure,
     weak_measure,
 )
 from .register import (
@@ -72,14 +66,12 @@ from .register import (
 from .scenarios import StepFailure, list_scenarios, run_scenario
 
 __all__ = [
-    "DensityMatrix",
     "DickeParams",
     "GridWavefunction",
     "ImpossibleOutcomeError",
     "MeasurementRecord",
     "OpLog",
     "ParameterError",
-    "PartialStrength",
     "Register",
     "SchmidtSpectrum",
     "StateVector",
@@ -102,15 +94,12 @@ __all__ = [
     "fidelity",
     "gaussian_packet",
     "gaussian_superposition",
-    "is_product",
     "joint_probability",
     "list_scenarios",
     "moments",
     "momentum_spectrum",
     "new_register",
     "overlap",
-    "partial_measure",
-    "partial_trace",
     "pointer_fidelities",
     "pointer_readings",
     "postselect",
@@ -119,7 +108,6 @@ __all__ = [
     "read_pointer",
     "recombine_probability",
     "run_scenario",
-    "sample_measure",
     "schmidt",
     "superpose",
     "time_reverse",

@@ -38,9 +38,6 @@ class OpLog:
     def entries(self) -> tuple[tuple[Callable, tuple], ...]:
         return tuple(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def _label_columns(label_indices: Sequence[int], matrix: Sequence[Sequence[complex]]) -> dict:
     """Each input label's column: ((output label,), coefficient) pairs, zeros

@@ -9,7 +9,7 @@ floor raises ImpossibleOutcomeError rather than returning NaN amplitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -57,16 +57,6 @@ class MeasurementRecord:
         n = self.post_state.norm()
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"post state norm {n!r} is not 1 within {NORM_TOL}")
-
-    @property
-    def subsystem(self) -> str:
-        (name,) = self.outcomes
-        return name
-
-    @property
-    def outcome(self) -> str:
-        (label,) = self.outcomes.values()
-        return label
 
 
 def _labels_of(reg: Register, subsystem: str) -> tuple[int, tuple[str, ...]]:
@@ -141,35 +131,6 @@ def postselect_out(state: StateVector, assignments: Mapping[str, str]) -> Measur
     return MeasurementRecord(dict(assignments), prob, post, negated=True)
 
 
-def sample_measure(state: StateVector, subsystem: str, seed) -> MeasurementRecord:
-    """Draw one projective outcome from the Born distribution and collapse."""
-    rng = as_generator(seed)
-    dist = born_probabilities(state, subsystem)
-    labels = list(dist)
-    weights = np.array([dist[l] for l in labels], dtype=float)
-    weights /= weights.sum()
-    label = labels[int(rng.choice(len(labels), p=weights))]
-    return project(state, subsystem, label)
-
-
-@dataclass(frozen=True)
-class PartialStrength:
-    """Coupling fraction of a partial readout: the detector sees only a
-    portion eps of the monitored branch; eps=1 is projective, eps=0 is off."""
-
-    eps: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.eps <= 1.0):
-            raise ParameterError(f"eps must lie in [0, 1], got {self.eps!r}")
-
-
-def _strength_eps(strength) -> float:
-    if isinstance(strength, PartialStrength):
-        return strength.eps
-    return PartialStrength(float(strength)).eps
-
-
 def _partial_image(
     state: StateVector, subsystem: str, monitored_label: str, eps: float, outcome: str
 ) -> dict:
@@ -189,29 +150,19 @@ def _partial_image(
 
 
 def apply_partial_outcome(
-    state: StateVector, subsystem: str, monitored_label: str, strength, outcome: str
+    state: StateVector, subsystem: str, monitored_label: str, eps: float, outcome: str
 ) -> MeasurementRecord:
-    """Deterministically apply one partial-readout outcome ('click'/'no-click')."""
-    image = _partial_image(state, subsystem, monitored_label, _strength_eps(strength), outcome)
+    """Deterministically apply one partial-readout outcome ('click'/'no-click').
+
+    eps is the coupling fraction: the detector sees only that portion of the
+    monitored branch; eps=1 is projective, eps=0 is off.
+    """
+    eps = float(eps)
+    if not (0.0 <= eps <= 1.0):
+        raise ParameterError(f"eps must lie in [0, 1], got {eps!r}")
+    image = _partial_image(state, subsystem, monitored_label, eps, outcome)
     p, post = _condition(state.register, image, lambda: f"partial outcome {outcome!r}")
     return MeasurementRecord({subsystem: outcome}, p, post)
-
-
-def partial_measure(
-    state: StateVector, subsystem: str, monitored_label: str, strength, seed
-) -> MeasurementRecord:
-    """Sample a partial readout of the monitored branch.
-
-    Click probability is eps times the branch's Born weight; the no-click
-    image keeps the rest untouched and damps the monitored branch by
-    sqrt(1-eps), so repeated null results bias the state without collapsing.
-    """
-    eps = _strength_eps(strength)
-    rng = as_generator(seed)
-    click = _partial_image(state, subsystem, monitored_label, eps, "click")
-    p_click = fold_sum(abs(a) ** 2 for a in click.values())
-    outcome = "click" if rng.random() < p_click else "no-click"
-    return apply_partial_outcome(state, subsystem, monitored_label, eps, outcome)
 
 
 def erase_partial(

@@ -228,21 +228,8 @@ class StateVector:
     def amplitude(self, assignment: Mapping[str, str]) -> complex:
         return self.amplitudes.get(self.register.key(assignment), 0j)
 
-    def items_sorted(self) -> list[tuple[tuple[int, ...], complex]]:
-        """Populated (key, amplitude) pairs in canonical basis order."""
-        return sorted(self.amplitudes.items())
-
     def support(self) -> int:
         return len(self.amplitudes)
-
-    def __str__(self) -> str:
-        parts = []
-        top = sorted(self.amplitudes.items(), key=lambda kv: (-abs(kv[1]) ** 2, kv[0]))[:6]
-        for k, a in top:
-            labels = ",".join(self.register.assignment(k)[n] for n in self.register.names)
-            parts.append(f"({a.real:+.4f}{a.imag:+.4f}j)|{labels}>")
-        extra = "" if self.support() <= 6 else f" ... (+{self.support() - 6} terms)"
-        return " + ".join(parts) + extra
 
 
 def prune(amplitudes: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:

@@ -17,7 +17,6 @@ import io
 import math
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -273,12 +272,19 @@ def sweep_to_csv(param: str, points: Sequence[tuple[float, ScenarioReport]]) -> 
 
 
 def write_output(text: str, path: str | None) -> None:
-    """Write to stdout, or atomically to a file (tmp + rename)."""
+    """Write to stdout, or atomically to a file (tmp + rename).
+
+    The temporary file is created as open() creates a file, with mode 0o666
+    less the umask (mkstemp would give 0o600), so a new or replaced report
+    gets the mode any other new file gets. O_EXCL never opens an existing
+    file or follows a link.
+    """
     if path is None:
         print(text, end="")
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".ketsim-", dir=directory)
+    tmp = os.path.join(directory, f".ketsim-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

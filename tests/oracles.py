@@ -87,20 +87,6 @@ def schmidt_dense(state, part_a) -> list[float]:
     return sorted((float(s * s) for s in sv if s * s >= 1e-12), reverse=True)
 
 
-def reduced_density(state, keep) -> np.ndarray:
-    """Reduced density matrix over the kept subsystems via einsum."""
-    reg = state.register
-    dims = dims_of(state)
-    keep_set = set(keep)
-    a_axes = [i for i, n in enumerate(reg.names) if n in keep_set]
-    b_axes = [i for i, n in enumerate(reg.names) if n not in keep_set]
-    tensor = dense_vector(state).reshape(dims)
-    mat = np.transpose(tensor, a_axes + b_axes).reshape(
-        int(np.prod([dims[i] for i in a_axes])), -1
-    )
-    return mat @ mat.conj().T
-
-
 def entropy_bits(lams) -> float:
     acc = 0.0
     for lam in lams:

@@ -195,6 +195,18 @@ def test_step_failure_exits_3(capsys, monkeypatch):
     assert "beam splitters" in err
 
 
+def test_an_unresolvable_pointer_exits_3_naming_the_step(capsys):
+    # A single-shot pointer this wide leaves a drawn reading no Born weight.
+    rc, out, err = run_cli(
+        capsys, "run", "weak_ensemble", "--seed", "0",
+        "--param", "sigma_single=1e40", "--param", "n_shots=200", "--param", "singles=20",
+    )
+    assert rc == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("ketsim: scenario 'weak_ensemble' failed at step 'gentle single shots':")
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def boom(name, params=None, seed=0):
         raise ValueError("synthetic")

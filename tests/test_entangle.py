@@ -1,19 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ketsim import (
-    DensityMatrix,
     SchmidtSpectrum,
     apply_rotation,
     cut_entropy,
     entropy,
-    is_product,
     new_register,
-    partial_trace,
     schmidt,
     superpose,
 )
@@ -45,10 +40,6 @@ def test_bell_pair_diagnostics():
     assert spec.coefficients == pytest.approx((0.5, 0.5), abs=1e-12)
     assert entropy(spec) == pytest.approx(1.0, abs=1e-12)
     assert cut_entropy(state, ("a",)) == pytest.approx(1.0, abs=1e-12)
-    assert not is_product(state, (("a",), ("b",)))
-    rho = partial_trace(state, ("a",))
-    assert rho.purity() == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
 
 
 def test_product_state_diagnostics():
@@ -56,43 +47,16 @@ def test_product_state_diagnostics():
     spec = schmidt(state, (("a",), ("b",)))
     assert spec.coefficients == pytest.approx((1.0,), abs=1e-12)
     assert cut_entropy(state, ("a",)) == pytest.approx(0.0, abs=1e-12)
-    assert is_product(state, (("a",), ("b",)))
-    assert partial_trace(state, ("b",)).purity() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_partial_trace_validation():
+def test_schmidt_validation():
     state = bell_pair()
-    with pytest.raises(ValueError):
-        partial_trace(state, ())
-    with pytest.raises(ValueError):
-        partial_trace(state, ("a", "b"))
     with pytest.raises(ValueError):
         schmidt(state, (("a",), ("a", "b")))
     with pytest.raises(ValueError):
         schmidt(state, (("a",), ()))
     with pytest.raises(ValueError):
         cut_entropy(state, ("nope",))
-
-
-def test_density_matrix_basis_labels():
-    reg = new_register([("a", ("0", "1")), ("b", ("x", "y", "z")), ("c", ("q", "r"))])
-    state = superpose(reg, [(1.0, {"a": "0", "b": "y", "c": "q"}), (1.0, {"a": "1", "b": "z", "c": "q"})])
-    rho = partial_trace(state, ("b", "a"))
-    # kept subsystems stay in register order regardless of argument order
-    assert rho.subsystems == ("a", "b")
-    assert rho.basis[0] == ("0", "x")
-    assert rho.matrix.shape == (6, 6)
-    assert float(np.trace(rho.matrix).real) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_density_matrix_validation():
-    basis = (("0",), ("1",))
-    with pytest.raises(ValueError):
-        DensityMatrix(("a",), basis, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(("a",), basis, np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        DensityMatrix(("a",), basis, np.eye(3) / 3)  # shape mismatch
 
 
 def test_schmidt_spectrum_validation():
@@ -149,20 +113,3 @@ def test_cut_entropy_is_symmetric_across_the_cut(seed):
     state = oracles.random_state(reg, rng)
     assert cut_entropy(state, ("a",)) == pytest.approx(cut_entropy(state, ("b", "c")), abs=1e-9)
     assert cut_entropy(state, ("a", "b")) == pytest.approx(cut_entropy(state, ("c",)), abs=1e-9)
-
-
-def test_partial_trace_matches_einsum_oracle():
-    reg = new_register([("a", ("0", "1", "2")), ("b", ("x", "y")), ("c", ("q", "r"))])
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        state = oracles.random_state(reg, rng)
-        for keep in (("a",), ("a", "b"), ("c",)):
-            got = partial_trace(state, keep).matrix
-            want = oracles.reduced_density(state, keep)
-            assert np.allclose(got, want, atol=1e-12)
-
-
-def test_entropy_of_density_matrix_matches_spectrum():
-    state = bell_pair()
-    rho = partial_trace(state, ("a",))
-    assert entropy(rho) == pytest.approx(1.0, abs=1e-12)

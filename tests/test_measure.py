@@ -9,7 +9,6 @@ from ketsim import (
     ImpossibleOutcomeError,
     MeasurementRecord,
     ParameterError,
-    PartialStrength,
     StateVector,
     WeakParams,
     amplitude,
@@ -19,14 +18,12 @@ from ketsim import (
     fidelity,
     joint_probability,
     new_register,
-    partial_measure,
     pointer_fidelities,
     pointer_readings,
     postselect,
     postselect_out,
     project,
     read_pointer,
-    sample_measure,
     superpose,
     weak_measure,
 )
@@ -75,8 +72,7 @@ def test_project_collapses_and_reports_probability():
     state = superpose(reg, [(1.0, {"a": "0", "b": "x"}), (1.0, {"a": "1", "b": "y"}), (1.0, {"a": "2", "b": "y"})])
     rec = project(state, "b", "y")
     assert rec.probability == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert rec.subsystem == "b"
-    assert rec.outcome == "y"
+    assert rec.outcomes == {"b": "y"}
     assert born_probabilities(rec.post_state, "b") == {"y": pytest.approx(1.0, abs=1e-12)}
     assert abs(rec.post_state.norm() - 1.0) < 1e-12
 
@@ -138,25 +134,14 @@ def test_measurement_record_validation():
         MeasurementRecord({"a": "0"}, 0.5, bad)
 
 
-def test_sample_measure_is_seed_deterministic_and_unbiased():
+def test_partial_outcome_eps_range():
     reg = spin_register()
-    state = superpose(reg, [(math.sqrt(0.7), {"spin": "up", "tag": "t0"}), (math.sqrt(0.3), {"spin": "down", "tag": "t0"})],
-                      normalize=False)
-    a = sample_measure(state, "spin", 123)
-    b = sample_measure(state, "spin", 123)
-    assert a.outcomes == b.outcomes
-    rng = np.random.default_rng(0)
-    hits = sum(sample_measure(state, "spin", rng).outcome == "up" for _ in range(2000))
-    # 4 sigma around 1400 with sigma = sqrt(2000 * .7 * .3) ~ 20.5
-    assert abs(hits - 1400) < 4 * math.sqrt(2000 * 0.7 * 0.3)
-
-
-def test_partial_strength_range():
-    with pytest.raises(ParameterError):
-        PartialStrength(-0.1)
-    with pytest.raises(ParameterError):
-        PartialStrength(1.1)
-    assert PartialStrength(0.0).eps == 0.0
+    state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
+    for eps in (-0.1, 1.1):
+        with pytest.raises(ParameterError, match=rf"^eps must lie in \[0, 1\], got {eps!r}$"):
+            apply_partial_outcome(state, "spin", "down", eps, "click")
+    assert apply_partial_outcome(state, "spin", "down", 0, "no-click").probability == pytest.approx(1.0, abs=1e-12)
+    assert apply_partial_outcome(state, "spin", "down", 1, "click").probability == pytest.approx(0.5, abs=1e-12)
 
 
 def test_partial_outcome_probabilities_are_complete():
@@ -194,17 +179,6 @@ def test_null_result_walk_biases_state_monotonically():
         p_up.append(born_probabilities(state, "spin")["up"])
     assert all(b > a for a, b in zip(p_up, p_up[1:]))
     assert p_up[-1] > 0.95
-
-
-def test_partial_measure_click_frequency():
-    reg = spin_register()
-    state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
-    eps = 0.3
-    rng = np.random.default_rng(11)
-    n = 3000
-    clicks = sum(partial_measure(state, "spin", "down", eps, rng).outcome == "click" for _ in range(n))
-    p = eps * 0.5
-    assert abs(clicks - n * p) < 4 * math.sqrt(n * p * (1 - p))
 
 
 def test_erase_partial_restores_magnitudes_and_phase():

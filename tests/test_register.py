@@ -207,19 +207,3 @@ def test_overlap_matches_dense_oracle():
         ket_order = [bra.amplitudes[k].conjugate() * b for k, b in ket.amplitudes.items()]
         other_order += fold_sum(ket_order) != want
     assert other_order > 0
-
-
-def test_items_sorted_is_canonical():
-    reg = two_qubits()
-    state = superpose(
-        reg,
-        [(0.5, {"a": "1", "b": "1"}), (0.5, {"a": "0", "b": "1"}), (0.5, {"a": "1", "b": "0"}), (0.5, {"a": "0", "b": "0"})],
-    )
-    keys = [k for k, _ in state.items_sorted()]
-    assert keys == sorted(keys)
-
-
-def test_str_is_readable():
-    reg = two_qubits()
-    state = superpose(reg, [(1.0, {"a": "0", "b": "1"})])
-    assert "|0,1>" in str(state)

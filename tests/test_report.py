@@ -2,6 +2,8 @@ import collections
 import enum
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -305,3 +307,18 @@ def test_write_output_file_and_stdout(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [target]
     write_output("to stdout", None)
     assert capsys.readouterr().out == "to stdout"
+
+
+def test_write_output_file_mode_follows_the_umask(tmp_path):
+    target = tmp_path / "out.json"
+    old = os.umask(0o022)
+    try:
+        write_output("new\n", str(target))
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        os.umask(0o027)
+        write_output("replaced\n", str(target))
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    finally:
+        os.umask(old)
+    assert target.read_text() == "replaced\n"
+    assert list(tmp_path.iterdir()) == [target]
