@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,18 @@ def test_run_param_override_and_out_file(capsys, tmp_path):
     assert doc["params"]["phi"] == pytest.approx(math.pi)
     recomb = {c["name"]: c for c in doc["checks"]}["recombination"]
     assert recomb["actual"] == pytest.approx(0.0, abs=1e-10)
+
+
+def test_run_out_file_gets_the_mode_the_umask_allows(capsys, tmp_path):
+    target = tmp_path / "r.json"
+    old = os.umask(0o022)
+    try:
+        rc, out, _ = run_cli(capsys, "run", "qo_core", "--out", str(target))
+    finally:
+        os.umask(old)
+    assert rc == 0 and out == ""
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    assert json.loads(target.read_text())["scenario"] == "qo_core"
 
 
 def test_run_csv_has_percycle_rows(capsys):

@@ -59,6 +59,15 @@ def test_schmidt_validation():
         cut_entropy(state, ("nope",))
 
 
+def test_schmidt_ignores_the_order_names_are_given_in():
+    # Each half is laid out in register order, whatever order the caller names it in.
+    reg = new_register([("a", ("0", "1", "2")), ("b", ("x", "y")), ("c", ("q", "r"))])
+    state = oracles.random_state(reg, np.random.default_rng(7))
+    assert schmidt(state, (("b", "a"), ("c",))) == schmidt(state, (("a", "b"), ("c",)))
+    assert schmidt(state, (("c", "a"), ("b",))) == schmidt(state, (("a", "c"), ("b",)))
+    assert cut_entropy(state, ("c", "a")) == cut_entropy(state, ("a", "c"))
+
+
 def test_schmidt_spectrum_validation():
     with pytest.raises(ValueError):
         SchmidtSpectrum(())

@@ -144,6 +144,33 @@ def test_partial_outcome_eps_range():
     assert apply_partial_outcome(state, "spin", "down", 1, "click").probability == pytest.approx(0.5, abs=1e-12)
 
 
+def test_partial_outcome_eps_is_coerced_and_nan_is_refused():
+    reg = spin_register()
+    state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
+    with pytest.raises(ParameterError, match=r"^eps must lie in \[0, 1\], got nan$"):
+        apply_partial_outcome(state, "spin", "down", float("nan"), "click")
+    plain = apply_partial_outcome(state, "spin", "down", 0.25, "no-click")
+    coerced = apply_partial_outcome(state, "spin", "down", np.float32(0.25), "no-click")
+    assert coerced.probability == plain.probability
+    assert coerced.post_state.amplitudes == plain.post_state.amplitudes
+
+
+def test_click_probability_is_eps_times_the_branch_weight():
+    reg = pair_register()
+    for seed in range(10):
+        state = oracles.random_state(reg, np.random.default_rng(seed))
+        weight = born_probabilities(state, "a")["1"]
+        for eps in (0.0, 0.1, 0.5, 0.9, 1.0):
+            if eps == 0.0:
+                with pytest.raises(ImpossibleOutcomeError):
+                    apply_partial_outcome(state, "a", "1", eps, "click")
+                continue
+            click = apply_partial_outcome(state, "a", "1", eps, "click")
+            noclick = apply_partial_outcome(state, "a", "1", eps, "no-click")
+            assert click.probability == pytest.approx(eps * weight, abs=1e-12)
+            assert noclick.probability == pytest.approx(1.0 - eps * weight, abs=1e-12)
+
+
 def test_partial_outcome_probabilities_are_complete():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])

@@ -322,3 +322,12 @@ def test_write_output_file_mode_follows_the_umask(tmp_path):
         os.umask(old)
     assert target.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_write_output_failure_keeps_the_old_report(tmp_path):
+    target = tmp_path / "out.json"
+    write_output("old\n", str(target))
+    with pytest.raises(TypeError):
+        write_output(b"not text", str(target))
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
