@@ -56,14 +56,23 @@ def _amplitude_matrix(state: StateVector, part_a: set[str]) -> np.ndarray:
     return m
 
 
+def _part(state: StateVector, part: Iterable[str]) -> set[str]:
+    """The names of one side of a cut, each checked against the register."""
+    if isinstance(part, str):
+        raise ValueError(f"a cut's side is a tuple of subsystem names, not the string {part!r}")
+    names = tuple(part)
+    for name in names:
+        state.register.index(name)
+    return set(names)
+
+
 def schmidt(state: StateVector, bipartition: tuple[Iterable[str], Iterable[str]]) -> SchmidtSpectrum:
     """Schmidt spectrum across a full bipartition of the register."""
-    reg = state.register
-    set_a = set(bipartition[0])
-    set_b = set(bipartition[1])
+    set_a = _part(state, bipartition[0])
+    set_b = _part(state, bipartition[1])
     if set_a & set_b:
         raise ValueError("bipartition halves overlap")
-    if set_a | set_b != set(reg.names) or not set_a or not set_b:
+    if set_a | set_b != set(state.register.names) or not set_a or not set_b:
         raise ValueError("bipartition must split all subsystems into two nonempty halves")
     m = _amplitude_matrix(state, set_a)
     sv = np.linalg.svd(m, compute_uv=False)
@@ -93,6 +102,5 @@ def entropy(arg) -> float:
 
 def cut_entropy(state: StateVector, part_a: Iterable[str]) -> float:
     """Entropy in bits across the cut (part_a | everything else)."""
-    names = set(state.register.names)
-    set_a = set(part_a)
-    return entropy(schmidt(state, (set_a, names - set_a)))
+    set_a = _part(state, part_a)
+    return entropy(schmidt(state, (set_a, set(state.register.names) - set_a)))

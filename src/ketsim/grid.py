@@ -11,21 +11,18 @@ exp(-(x-c)^2 / 2w^2), hence position std w/sqrt(2) and momentum std
 1/(w*sqrt(2)); the uncertainty product is exactly 1/2.
 
 Every wavefunction on one geometry (n, x_min, x_max) reads the same
-read-only axis arrays from `grid_xs` and `_grid_spectral`, each of which
-keeps the two most recent geometries. The n-point arithmetic runs in place
-on arrays a function owns, with the same operations in the same order as the
-plain expressions, so every result is bit-identical to them.
+read-only axis arrays from `grid_xs` and `grid_ps`, each of which keeps the
+two most recent geometries. The n-point arithmetic runs in place on arrays a
+function owns, with the same operations in the same order as the plain
+expressions, so every result is bit-identical to them.
 
 Dtype contract: a wavefunction built from a float64 array keeps float64
-amplitudes; any other input is cast to complex128. So `gaussian_packet`,
-`gaussian_superposition` and `window_project` of a real wavefunction return
-float64 amplitudes, equal to the complex128 ones an all-complex path gives.
-An array is cast to complex only where complex arithmetic needs it: the FFT
-input of `momentum_amplitudes` and `momentum_spectrum`. The real path keeps
-the complex path's bits because numpy's complex / real computes
-a * (1.0 / norm), which is how every normalization here scales (for a zero
-amplitude the sign may differ; no density or report can see it), and because
-|a + 0j| ** 2 equals a * a.
+amplitudes; any other input is cast to complex128. Only the FFT input of
+`momentum_spectrum` is cast to complex. A real wavefunction's amplitudes and
+densities equal the complex128 ones an all-complex path gives, because
+numpy's complex / real computes a * (1.0 / norm), which is how every
+normalization here scales (for a zero amplitude the sign may differ; no
+density or report can see it), and because |a + 0j| ** 2 equals a * a.
 
 Memory: importing this module pins glibc malloc's two heap thresholds
 through `mallopt`, once, for the whole process. Blocks below
@@ -105,24 +102,9 @@ def grid_xs(n: int, x_min: float, x_max: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _grid_spectral(n: int, x_min: float, x_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shared read-only (ascending momenta, FFT-order phase exp(-i p x_min)).
-
-    The FFT-order momenta above the Nyquist index are the exact negatives of
-    those below it, so the phase there is the conjugate of the phase at
-    indices n/2-1 ... 1, and only indices 0 ... n/2 call exp. At x_min = 0
-    the conjugate would flip the sign of every zero imaginary part, so exp
-    runs over all n points there.
-    """
-    p = 2.0 * math.pi * np.fft.fftfreq(n, d=(x_max - x_min) / n)
-    if x_min == 0.0:
-        phase = np.exp(-1j * p * x_min)
-    else:
-        half = n // 2
-        phase = np.empty(n, dtype=complex)
-        np.exp(-1j * p[: half + 1] * x_min, out=phase[: half + 1])
-        np.conjugate(phase[half - 1 : 0 : -1], out=phase[half + 1 :])
-    return _read_only(np.fft.fftshift(p)), _read_only(phase)
+def grid_ps(n: int, x_min: float, x_max: float) -> np.ndarray:
+    """Shared read-only ascending momenta of a geometry; copy before writing."""
+    return _read_only(np.fft.fftshift(2.0 * math.pi * np.fft.fftfreq(n, d=(x_max - x_min) / n)))
 
 
 # exp(-x) is exactly 0.0 for every x above about 745.13; a sample whose
@@ -370,50 +352,33 @@ def window_project(
     return prob, GridWavefunction(wf.n, wf.x_min, wf.x_max, kept)
 
 
-def _fft_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
-    """(momentum grid ascending, complex momentum amplitudes in FFT order)."""
-    p, phase = _grid_spectral(wf.n, wf.x_min, wf.x_max)
-    # The FFT of a complex copy, in place: the same bits as fft of a real
-    # array, and never slower (twice as fast at 16384 points).
-    phi = wf.amplitudes.astype(complex)
-    np.fft.fft(phi, out=phi)
-    phi *= wf.dx
-    phi /= math.sqrt(2.0 * math.pi)
-    phi *= phase
-    return p, phi
-
-
 def _fftshift(a: np.ndarray) -> np.ndarray:
     """fftshift of an even-length array, without np.roll's overhead."""
     half = len(a) // 2
     return np.concatenate((a[half:], a[:half]))
 
 
-def momentum_amplitudes(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
-    """(momentum grid ascending, complex momentum amplitudes).
-
-    Unitary convention: phi(p) = (1/sqrt(2*pi)) * integral psi(x) e^{-ipx} dx,
-    discretized so sum |phi_k|^2 dp = sum |psi_j|^2 dx exactly. The momentum
-    grid is shared by the geometry and read-only; copy it before writing.
-    """
-    p, phi = _fft_amplitudes(wf)
-    return p, _fftshift(phi)
-
-
 def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     """(momentum grid ascending, Born probabilities |phi_k|^2 dp).
 
-    The momentum grid is shared by the geometry and read-only; copy it before
+    Unitary convention: phi(p) = (1/sqrt(2*pi)) * integral psi(x) e^{-ipx} dx,
+    discretized so sum |phi_k|^2 dp = sum |psi_j|^2 dx exactly. The grid
+    origin's phase exp(-i p x_min) has modulus 1, so it is left out. The
+    momentum grid is shared by the geometry and read-only; copy it before
     writing.
     """
     if not contained(wf):
         raise ParameterError("spectrum needs a contained wavefunction (boundary leakage)")
-    p, phi = _fft_amplitudes(wf)
-    dp = 2.0 * math.pi / (wf.n * wf.dx)
+    # The FFT of a complex copy, in place: the same bits as fft of a real
+    # array, and never slower (twice as fast at 16384 points).
+    phi = wf.amplitudes.astype(complex)
+    np.fft.fft(phi, out=phi)
+    phi *= wf.dx
+    phi /= math.sqrt(2.0 * math.pi)
     probs = _density(phi)
     del phi
-    probs *= dp
-    return p, _fftshift(probs)
+    probs *= 2.0 * math.pi / (wf.n * wf.dx)
+    return grid_ps(wf.n, wf.x_min, wf.x_max), _fftshift(probs)
 
 
 def moments(arg) -> tuple[float, float]:

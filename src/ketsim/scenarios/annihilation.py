@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..entangle import cut_entropy, schmidt
+from ..entangle import cut_entropy, entropy, schmidt
 from ..evolve import apply_basis_change, apply_split, controlled_relabel, recombine_probability
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
 from ..register import amplitude, fidelity, new_register, superpose
@@ -242,7 +242,7 @@ def _run_hardy_ci(params, seed):
     state = rec.post_state
 
     spectrum = schmidt(state, (("electron",), ("positron", "gamma")))
-    s_bits = cut_entropy(state, ("electron",))
+    s_bits = entropy(spectrum)
     checks.append(
         Check("p_joint_23", "abs", 0.0, joint_probability(state, {"electron": "arm2", "positron": "arm3"}), 1e-12,
               "joint-Born oracle")

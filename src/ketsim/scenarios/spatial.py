@@ -34,11 +34,7 @@ _AUTO_EPS_SLOPE = 0.43
 
 
 def _overlap_sq(a, b) -> float:
-    # vdot stays complex even for real packets: OpenBLAS zdotc and ddot add
-    # in different orders, so a real ddot would move the last bits.
-    va = np.asarray(a.amplitudes, dtype=complex)
-    vb = np.asarray(b.amplitudes, dtype=complex)
-    return abs(np.vdot(va, vb) * a.dx) ** 2
+    return abs(np.vdot(a.amplitudes, b.amplitudes) * a.dx) ** 2
 
 
 def _run_dicke(params, seed):

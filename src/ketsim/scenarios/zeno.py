@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..entangle import cut_entropy, schmidt
+from ..entangle import cut_entropy, entropy, schmidt
 from ..errors import ParameterError
 from ..evolve import apply_basis_change, apply_rotation, controlled_relabel
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
@@ -357,7 +357,7 @@ def _run_zeno_ghost(params, seed):
     # A product state has a one-term spectrum: its second weight is zero.
     second = spectrum.coefficients[1] if len(spectrum.coefficients) > 1 else 0.0
     p_both_up = joint_probability(found.post_state, {"bombL": "z_up", "bombR": "z_up"})
-    found_entropy = cut_entropy(found.post_state, ("bombL",))
+    found_entropy = entropy(spectrum)
     checks.append(
         Check("p_found_given_no_explosion", "abs", ref["p_found_given_kept"], found.probability,
               1e-9, "dense matrix-iteration oracle")

@@ -325,7 +325,6 @@ def reference_momentum_amplitudes(n, x_min, x_max, amps):
     phi = np.fft.fft(amps.astype(complex))
     phi *= dx
     phi /= math.sqrt(2.0 * math.pi)
-    phi *= np.exp(-1j * p * x_min)
     return np.fft.fftshift(p), np.fft.fftshift(phi)
 
 

@@ -59,6 +59,19 @@ def test_schmidt_validation():
         cut_entropy(state, ("nope",))
 
 
+def test_cuts_refuse_a_bare_string_and_name_an_unknown_subsystem():
+    reg = new_register([("electron", ("0", "1")), ("positron", ("0", "1"))])
+    state = oracles.random_state(reg, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="tuple of subsystem names"):
+        cut_entropy(state, "electron")
+    with pytest.raises(ValueError, match="tuple of subsystem names"):
+        schmidt(state, ("electron", ("positron",)))
+    with pytest.raises(ValueError, match="unknown subsystem 'muon'"):
+        cut_entropy(state, ("muon",))
+    with pytest.raises(ValueError, match="unknown subsystem 'muon'"):
+        schmidt(state, (("electron",), ("muon",)))
+
+
 def test_schmidt_ignores_the_order_names_are_given_in():
     # Each half is laid out in register order, whatever order the caller names it in.
     reg = new_register([("a", ("0", "1", "2")), ("b", ("x", "y")), ("c", ("q", "r"))])

@@ -57,11 +57,11 @@ GOLDEN = {
     "quantum_erasure/7": "7fd0797443529d167ac4ddaf4f995bf867d04970eb384aaa7e8656f31d804c6f",
     "ghostly_mirror/0": "a1d694635f7ba85a0d9227f43e990c53729d7a33dbe7306f995921d9ad00d209",
     "ghostly_mirror/7": "2722855f35916bc30782073e0d569773ecbb28f8cf385760eae192245e8da748",
-    "dicke_tray_spoon/0": "1e91674394e8d57678285aa726033bed25d0b57f4c3325a324ff66ddff0f27a4",
-    "dicke_tray_spoon/7": "06110cdf7fa6cc451dc160ef3c15fddcc1995d428554dfa232cdc490492ca84e",
+    "dicke_tray_spoon/0": "f27f04d1c3412a7a21419c02c9d5d4e4341a3b785238e021a89c8dcad2992cf9",
+    "dicke_tray_spoon/7": "98615ff3220bd5dc0cbff9ffbb3b279979de4a09c463e24ade9145ff55979956",
     "ab_toy/0": "9df24e534d6ffd6050d3f976e71303cf002d4f74d6a676b1810b83acb325995e",
     "ab_toy/7": "64aaf063646d3d34d0c2442a1abcf78c4a2b94bdf7faeecd2ffbb8475dcd547b",
-    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "75d0ce6a8ba61a11ff5c63ed2f872a8dd07abbd24975d0bc4bba844789a12a6b",
+    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "e8f6e8f858ea6c4d3374676def62840c27fa0b65c28869ad263a3061df8e868c",
     "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000": "238f32032466db6b0c18974e01e9af5c48d7810e32e05fe26a6ed9bfe20c799b",
     "zeno_basic/sweep alpha=0.157:0.0785:3 --format json": "32b42f6e687c03934ded67c3fae393a774411413fde26ca92dd2797470436723",
 }
