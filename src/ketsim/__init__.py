@@ -28,12 +28,8 @@ from .evolve import (
     time_reverse,
 )
 from .grid import (
-    DickeParams,
     GridWavefunction,
-    dicke_domain,
-    dicke_grid_size,
     gaussian_packet,
-    gaussian_superposition,
     moments,
     momentum_spectrum,
     window_project,
@@ -66,7 +62,6 @@ from .register import (
 from .scenarios import StepFailure, list_scenarios, run_scenario
 
 __all__ = [
-    "DickeParams",
     "GridWavefunction",
     "ImpossibleOutcomeError",
     "MeasurementRecord",
@@ -87,13 +82,10 @@ __all__ = [
     "controlled_phase",
     "controlled_relabel",
     "cut_entropy",
-    "dicke_domain",
-    "dicke_grid_size",
     "entropy",
     "erase_partial",
     "fidelity",
     "gaussian_packet",
-    "gaussian_superposition",
     "joint_probability",
     "list_scenarios",
     "moments",

@@ -103,7 +103,8 @@ def _cmd_list(args) -> int:
         for pname, info in schema.items():
             bounds = ""
             if info["low"] is not None or info["high"] is not None:
-                bounds = f" [{info['low']} .. {info['high']}]"
+                low, high = ("" if b is None else b for b in (info["low"], info["high"]))
+                bounds = f" {'(' if info['low_open'] else '['}{low} .. {high}{')' if info['high_open'] else ']'}"
             lines.append(f"  --param {pname}={info['default']} ({info['kind']}{bounds}) {info['doc']}")
         lines.append("")
     _emit("\n".join(lines), args.out)

@@ -240,92 +240,6 @@ def gaussian_packet(
     return wf
 
 
-@dataclass(frozen=True)
-class DickeParams:
-    """Wide packet at x1 (width L) plus a small faraway packet at x2 (width ell).
-
-    eps sets the amplitude fraction on the small packet; the packets must be
-    well separated (|x1-x2| >= 5(L+ell)) and the small one much narrower
-    (ell <= L/10) so the cross term stays below tolerance.
-    """
-
-    L: float
-    ell: float
-    x1: float
-    x2: float
-    eps: float
-
-    def __post_init__(self) -> None:
-        if self.L <= 0 or self.ell <= 0:
-            raise ParameterError("widths must be positive")
-        if self.ell > self.L / 10 + 1e-12:
-            raise ParameterError("ell must satisfy ell <= L/10")
-        if not (0.0 < self.eps < 1.0):
-            raise ParameterError("eps must lie strictly between 0 and 1")
-        if abs(self.x1 - self.x2) < 5.0 * (self.L + self.ell):
-            raise ParameterError("centers must be at least 5*(L+ell) apart")
-
-    # Continuum normalizers of the individual packets: each makes
-    # N*exp(-(x-c)^2/2w^2) unit-norm before the eps weighting.
-    @property
-    def n1(self) -> float:
-        return (math.pi * self.L * self.L) ** -0.25
-
-    @property
-    def n2(self) -> float:
-        return (math.pi * self.ell * self.ell) ** -0.25
-
-
-def dicke_domain(params: DickeParams) -> tuple[float, float]:
-    """Default domain: 8 wide-packet widths beyond both centers."""
-    lo = min(params.x1, params.x2) - 8.0 * params.L
-    hi = max(params.x1, params.x2) + 8.0 * params.L
-    return lo, hi
-
-
-def dicke_grid_size(params: DickeParams, domain: tuple[float, float]) -> int:
-    """Smallest power of two >= 4096 with dx <= ell/8, at most MAX_GRID_POINTS."""
-    return fine_grid_size(domain[1] - domain[0], params.ell / 8.0)
-
-
-def gaussian_superposition(
-    params: DickeParams,
-    n: int | None = None,
-    domain: tuple[float, float] | None = None,
-) -> GridWavefunction:
-    """sqrt(1-eps^2)*N1*exp(-(x-x1)^2/2L^2) + eps*N2*exp(-(x-x2)^2/2ell^2).
-
-    The literal two-packet sum, renormalized on the grid; the cross term is
-    kept (the separation invariant makes it negligible, not absent).
-    """
-    if domain is None:
-        domain = dicke_domain(params)
-    lo, hi = domain
-    for c, w in ((params.x1, params.L), (params.x2, params.ell)):
-        if not (lo <= c - 5.0 * w and c + 5.0 * w <= hi):
-            raise ParameterError("domain too small: needs 5 widths beyond each packet")
-    if n is None:
-        n = dicke_grid_size(params, domain)
-    _check_geometry(n, lo, hi)
-    dx = (hi - lo) / n
-    if dx > params.ell / 8.0:
-        raise ParameterError(
-            f"grid spacing {dx:g} does not resolve ell={params.ell:g} (need dx <= ell/8)"
-        )
-    xs = grid_xs(n, lo, hi)
-    big = _gaussian(xs, params.x1, 2.0 * params.L**2)
-    big *= params.n1
-    small = _gaussian(xs, params.x2, 2.0 * params.ell**2)
-    small *= params.n2
-    big *= math.sqrt(1.0 - params.eps**2)
-    small *= params.eps
-    big += small
-    wf = _owned_normalized(n, lo, hi, big)
-    if not contained(wf):
-        raise ParameterError("superposition is not contained on the requested domain")
-    return wf
-
-
 def window_project(
     wf: GridWavefunction, interval: tuple[float, float], keep_inside: bool
 ) -> tuple[float, GridWavefunction]:

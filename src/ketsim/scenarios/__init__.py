@@ -137,6 +137,8 @@ def list_scenarios() -> list[tuple[str, dict, str]]:
                 "default": p.default,
                 "low": p.low,
                 "high": p.high,
+                "low_open": p.low_open,
+                "high_open": p.high_open,
                 "doc": p.doc,
             }
             for p in s.params

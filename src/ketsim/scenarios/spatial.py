@@ -5,7 +5,13 @@ tiny narrow packet far away. The watcher seeing nothing is a rare outcome
 that hands the particle to the narrow packet, broadening its momentum
 spread by the packet-width ratio. No force acted; a null result did the
 work. Expected values are Gaussian quadrature closed forms and the
-reciprocal-width law of the Fourier transform.
+reciprocal-width law of the Fourier transform. After Dicke, Am. J. Phys.
+49, 925 (1981): the wide packet is the tray, the narrow one the spoon.
+
+The state is the two-packet sum on one grid spanning 8 tray widths beyond
+both centres at spacing <= l_spoon/8. Its cross term is kept, and made
+negligible by two refused-when-broken invariants: l_spoon <= l_tray/10, and
+the centres at least 5*(l_tray + l_spoon) apart.
 """
 
 from __future__ import annotations
@@ -14,12 +20,14 @@ import math
 
 import numpy as np
 
+from ..errors import ParameterError
 from ..grid import (
-    DickeParams,
-    dicke_domain,
-    dicke_grid_size,
+    _check_geometry,
+    _gaussian,
+    _owned_normalized,
+    fine_grid_size,
     gaussian_packet,
-    gaussian_superposition,
+    grid_xs,
     moments,
     momentum_spectrum,
     window_project,
@@ -37,17 +45,37 @@ def _overlap_sq(a, b) -> float:
     return abs(np.vdot(a.amplitudes, b.amplitudes) * a.dx) ** 2
 
 
+def _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps):
+    """sqrt(1-eps^2)*N(big)*g(x_tray, big) + eps*N(small)*g(x_spoon, small), renormalized on
+    the grid; g(c, w) = exp(-(x-c)^2/2w^2) and N(w) = (pi*w^2)^(-1/4) normalizes it."""
+    _check_geometry(n, lo, hi)
+    dx = (hi - lo) / n
+    if dx > small / 8.0:
+        raise ParameterError(f"grid spacing {dx:g} of n={n} does not resolve l_spoon={small:g} (need <= l_spoon/8)")
+    xs = grid_xs(n, lo, hi)
+    tray = _gaussian(xs, x_tray, 2.0 * big**2)
+    tray *= (math.pi * big * big) ** -0.25
+    spoon = _gaussian(xs, x_spoon, 2.0 * small**2)
+    spoon *= (math.pi * small * small) ** -0.25
+    tray *= math.sqrt(1.0 - eps**2)
+    spoon *= eps
+    tray += spoon
+    return _owned_normalized(n, lo, hi, tray)
+
+
 def _run_dicke(params, seed):
-    big = params["l_tray"]
-    small = params["l_spoon"]
+    big, small = params["l_tray"], params["l_spoon"]
+    x_tray, x_spoon = params["x_tray"], params["x_spoon"]
     eps = params["eps"] if params["eps"] > 0.0 else _AUTO_EPS_SLOPE * small / big
     half = params["window_halfwidth"]
-    dp = DickeParams(
-        L=big, ell=small, x1=params["x_tray"], x2=params["x_spoon"], eps=eps
-    )
-    domain = dicke_domain(dp)
-    n = params["n"] if params["n"] > 0 else dicke_grid_size(dp, domain)
-    wf = gaussian_superposition(dp, n=n, domain=domain)
+    if small > big / 10 + 1e-12:
+        raise ParameterError(f"l_spoon={small:g} must be at most l_tray/10 = {big / 10:g}")
+    if abs(x_tray - x_spoon) < 5.0 * (big + small):
+        raise ParameterError(f"x_tray and x_spoon must be 5*(l_tray + l_spoon) = {5.0 * (big + small):g} or more apart")
+    lo = min(x_tray, x_spoon) - 8.0 * big
+    hi = max(x_tray, x_spoon) + 8.0 * big
+    n = params["n"] if params["n"] > 0 else fine_grid_size(hi - lo, small / 8.0)
+    wf = _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps)
     checks = []
 
     mean_x, std_x = moments(wf)
@@ -58,7 +86,7 @@ def _run_dicke(params, seed):
     checks.append(
         Check("uncertainty_pre", "ge", 0.5, std_x * std_p_pre, 1e-3, "uncertainty lower bound")
     )
-    spoon_window = (dp.x2 - half * small, dp.x2 + half * small)
+    spoon_window = (x_spoon - half * small, x_spoon + half * small)
     with guard("dicke_tray_spoon", "faraway-window mass"):
         p_spoon_pre, _ = window_project(wf, spoon_window, keep_inside=True)
     eps_sq = eps * eps
@@ -79,7 +107,7 @@ def _run_dicke(params, seed):
         )
     ]
 
-    tray_window = (dp.x1 - half * big, dp.x1 + half * big)
+    tray_window = (x_tray - half * big, x_tray + half * big)
     with guard("dicke_tray_spoon", "watched region stays empty"):
         p_null, post = window_project(wf, tray_window, keep_inside=False)
     p_null_expected = (1.0 - eps_sq) * math.erfc(half) + eps_sq
@@ -87,7 +115,7 @@ def _run_dicke(params, seed):
         Check("p_null_outcome", "abs", p_null_expected, p_null, 1e-5, "Gaussian quadrature oracle")
     )
 
-    spoon_packet = gaussian_packet(n, domain[0], domain[1], dp.x2, small)
+    spoon_packet = gaussian_packet(n, lo, hi, x_spoon, small)
     fid_spoon = _overlap_sq(post, spoon_packet)
     checks.append(
         Check("fidelity_vs_pure_spoon", "abs", eps_sq / p_null_expected, fid_spoon, 0.005,

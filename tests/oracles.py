@@ -287,17 +287,17 @@ def reference_gaussian_packet(n, x_min, x_max, center, width) -> np.ndarray:
     return reference_normalized(amps, (x_max - x_min) / n)
 
 
-def reference_gaussian_superposition(params, n, domain) -> np.ndarray:
-    lo, hi = domain
-    xs = reference_xs(n, lo, hi)
-    big = reference_gaussian(xs, params.x1, 2.0 * params.L**2)
-    big *= params.n1
-    small = reference_gaussian(xs, params.x2, 2.0 * params.ell**2)
-    small *= params.n2
-    big *= math.sqrt(1.0 - params.eps**2)
-    small *= params.eps
-    big += small
-    return reference_normalized(big, (hi - lo) / n)
+def reference_tray_and_spoon(n, x_min, x_max, big, small, x_tray, x_spoon, eps) -> np.ndarray:
+    """sqrt(1-eps^2) * tray + eps * spoon, each a continuum-normalized packet."""
+    xs = reference_xs(n, x_min, x_max)
+    tray = reference_gaussian(xs, x_tray, 2.0 * big**2)
+    tray *= (math.pi * big * big) ** -0.25
+    spoon = reference_gaussian(xs, x_spoon, 2.0 * small**2)
+    spoon *= (math.pi * small * small) ** -0.25
+    tray *= math.sqrt(1.0 - eps**2)
+    spoon *= eps
+    tray += spoon
+    return reference_normalized(tray, (x_max - x_min) / n)
 
 
 def reference_window_project(n, x_min, x_max, amps, interval, keep_inside):

@@ -29,6 +29,10 @@ def test_list_text(capsys):
     for name in ("qo_core", "ghostly_mirror", "dicke_tray_spoon", "ab_toy"):
         assert name in out
     assert "--param alpha=" in out
+    # a closed end is a bracket, an open one a parenthesis, a missing one empty
+    assert "--param eps=0.2 (float (0.0 .. 1.0)) per-step" in out  # partial_erasure
+    assert "--param eps=0.0 (float [0.0 .. 1.0)) faraway" in out  # dicke_tray_spoon
+    assert "--param g=1.0 (float [1e-06 .. ]) pointer" in out  # weak_ensemble
 
 
 def test_list_json(capsys):
@@ -36,8 +40,12 @@ def test_list_json(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert len(doc["scenarios"]) == 13
-    entry = {e["name"]: e for e in doc["scenarios"]}["zeno_basic"]
-    assert entry["params"]["alpha"]["kind"] == "float"
+    schemas = {e["name"]: e["params"] for e in doc["scenarios"]}
+    assert schemas["zeno_basic"]["alpha"]["kind"] == "float"
+    eps = schemas["partial_erasure"]["eps"]
+    assert (eps["low"], eps["high"], eps["low_open"], eps["high_open"]) == (0.0, 1.0, True, True)
+    g = schemas["weak_ensemble"]["g"]
+    assert (g["high"], g["low_open"], g["high_open"]) == (None, False, False)
 
 
 def test_run_json_success(capsys):

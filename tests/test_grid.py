@@ -12,25 +12,23 @@ import pytest
 
 import ketsim
 from ketsim import (
-    DickeParams,
     GridWavefunction,
     ImpossibleOutcomeError,
     ParameterError,
-    dicke_domain,
-    dicke_grid_size,
     gaussian_packet,
-    gaussian_superposition,
     moments,
     momentum_spectrum,
+    run_scenario,
     window_project,
 )
 from ketsim.grid import (
     MAX_GRID_POINTS,
     _gaussian,
     contained,
+    fine_grid_size,
     grid_xs,
 )
-from ketsim.scenarios.spatial import _AUTO_EPS_SLOPE, _overlap_sq
+from ketsim.scenarios.spatial import _AUTO_EPS_SLOPE, _overlap_sq, _tray_and_spoon
 
 import numpy_baseline
 import oracles
@@ -139,44 +137,43 @@ def test_contained_flags_boundary_leakage():
     assert not contained(leaky)
 
 
-def test_dicke_params_validation():
-    with pytest.raises(ParameterError):
-        DickeParams(L=1.0, ell=0.2, x1=0.0, x2=20.0, eps=0.1)  # ell > L/10
-    with pytest.raises(ParameterError):
-        DickeParams(L=1.0, ell=0.05, x1=0.0, x2=20.0, eps=0.0)
-    with pytest.raises(ParameterError):
-        DickeParams(L=1.0, ell=0.05, x1=0.0, x2=3.0, eps=0.1)  # too close
-    with pytest.raises(ParameterError):
-        DickeParams(L=-1.0, ell=0.05, x1=0.0, x2=20.0, eps=0.1)
-    DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6.0, eps=0.1)
+# A dicke_tray_spoon state's geometry: tray and spoon widths, centres, and
+# the spoon's amplitude weight, as `_tray_and_spoon` takes them.
+Dicke = collections.namedtuple("Dicke", "big small x_tray x_spoon eps")
 
 
-def test_dicke_grid_size_resolves_small_packet():
-    params = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6.0, eps=0.1)
-    domain = dicke_domain(params)
-    n = dicke_grid_size(params, domain)
+def _scenario_domain(d):
+    """The scenario's domain: 8 tray widths beyond both centres."""
+    return min(d.x_tray, d.x_spoon) - 8.0 * d.big, max(d.x_tray, d.x_spoon) + 8.0 * d.big
+
+
+def _dicke_grid_points(params):
+    report = run_scenario("dicke_tray_spoon", params)
+    return int(report.steps[-1]["events"]["grid_points"])
+
+
+def test_dicke_grid_resolves_the_spoon():
+    n = _dicke_grid_points({})
     assert n >= 4096 and (n & (n - 1)) == 0
-    assert (domain[1] - domain[0]) / n <= params.ell / 8.0
+    # the default domain runs from x_tray - 8 = -8 to x_spoon + 8 = 14
+    assert 22.0 / n <= 0.05 / 8.0
 
 
-def test_dicke_grid_size_is_capped():
-    # span 6546 needs exactly 2**20 points at ell/8; span 6616 would need 2**21
-    at_cap = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6530.0, eps=0.1)
-    assert dicke_grid_size(at_cap, dicke_domain(at_cap)) == MAX_GRID_POINTS == 2**20
-    past = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6600.0, eps=0.1)
+def test_dicke_grid_is_capped():
+    # span 6546 needs exactly 2**20 points at l_spoon/8; span 6616 would need 2**21
+    assert _dicke_grid_points({"x_spoon": 6530.0}) == MAX_GRID_POINTS == 2**20
     with pytest.raises(ParameterError, match=str(MAX_GRID_POINTS)):
-        dicke_grid_size(past, dicke_domain(past))
+        run_scenario("dicke_tray_spoon", {"x_spoon": 6600.0})
 
 
 def test_dicke_superposition_weights():
-    params = DickeParams(L=1.0, ell=0.05, x1=0.0, x2=6.0, eps=0.2)
-    wf = gaussian_superposition(params)
+    d = Dicke(big=1.0, small=0.05, x_tray=0.0, x_spoon=6.0, eps=0.2)
+    lo, hi = _scenario_domain(d)
+    wf = _tray_and_spoon(fine_grid_size(hi - lo, d.small / 8.0), lo, hi, *d)
     assert wf.norm_sq() == pytest.approx(1.0, abs=1e-12)
     # mass near the small packet is eps^2 (cross term negligible by construction)
-    prob, _ = window_project(wf, (params.x2 - 1.0, params.x2 + 1.0), keep_inside=True)
-    assert prob == pytest.approx(params.eps**2, abs=1e-6)
-    with pytest.raises(ParameterError):
-        gaussian_superposition(params, domain=(-2.0, 8.0))  # too tight for the wide packet
+    prob, _ = window_project(wf, (d.x_spoon - 1.0, d.x_spoon + 1.0), keep_inside=True)
+    assert prob == pytest.approx(d.eps**2, abs=1e-6)
 
 
 def test_uncertainty_product_floor():
@@ -189,7 +186,7 @@ def test_uncertainty_product_floor():
 
 
 # Geometries (n, x_min, x_max) for the bit-identity checks below, each with
-# room for a unit-width packet and a Dicke pair (L=1, ell=0.1, 6 apart).
+# room for a unit-width packet and a tray and spoon (widths 1 and 0.1, 6 apart).
 GEOMETRIES = ((4096, -20.0, 20.0), (8192, 3.25, 83.25), (16384, 0.0, 100.0))
 
 
@@ -202,8 +199,8 @@ def _geometry_packet(n, x_min, x_max):
 
 
 def _geometry_dicke(n, x_min, x_max):
-    params = DickeParams(L=1.0, ell=0.1, x1=x_min + 9.0, x2=x_min + 15.0, eps=0.3)
-    return params, gaussian_superposition(params, n=n, domain=(x_min, x_max))
+    d = Dicke(big=1.0, small=0.1, x_tray=x_min + 9.0, x_spoon=x_min + 15.0, eps=0.3)
+    return d, _tray_and_spoon(n, x_min, x_max, *d)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -216,10 +213,10 @@ def test_packets_match_the_plain_formulas_bit_for_bit(geometry):
     amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
     assert np.array_equal(_geometry_packet(n, x_min, x_max).amplitudes, amps)
 
-    params, wf = _geometry_dicke(n, x_min, x_max)
-    big = params.n1 * np.exp(-((xs - params.x1) ** 2) / (2.0 * params.L**2))
-    small = params.n2 * np.exp(-((xs - params.x2) ** 2) / (2.0 * params.ell**2))
-    amps = (math.sqrt(1.0 - params.eps**2) * big + params.eps * small).astype(complex)
+    d, wf = _geometry_dicke(n, x_min, x_max)
+    tray = (math.pi * d.big * d.big) ** -0.25 * np.exp(-((xs - d.x_tray) ** 2) / (2.0 * d.big**2))
+    spoon = (math.pi * d.small * d.small) ** -0.25 * np.exp(-((xs - d.x_spoon) ** 2) / (2.0 * d.small**2))
+    amps = (math.sqrt(1.0 - d.eps**2) * tray + d.eps * spoon).astype(complex)
     amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
     assert np.array_equal(wf.amplitudes, amps)
     assert np.array_equal(wf.xs, xs)
@@ -354,10 +351,10 @@ def _random_dicke(rng):
     x_spoon = -float(rng.uniform(0.0, 300.0))
     x_tray = x_spoon + sep * float(rng.choice((-1.0, 1.0)))
     eps = float(rng.uniform(0.01, 0.9)) if rng.integers(2) else _AUTO_EPS_SLOPE * small / big
-    params = DickeParams(L=big, ell=small, x1=x_tray, x2=x_spoon, eps=eps)
-    domain = dicke_domain(params)
-    n = dicke_grid_size(params, domain) * 2 ** int(rng.integers(2))
-    return params, domain, n, float(rng.uniform(1.0, 6.0))
+    d = Dicke(big, small, x_tray, x_spoon, eps)
+    lo, hi = _scenario_domain(d)
+    n = fine_grid_size(hi - lo, small / 8.0) * 2 ** int(rng.integers(2))
+    return d, (lo, hi), n, float(rng.uniform(1.0, 6.0))
 
 
 def _check_spectra(wf, ref_amps):
@@ -378,20 +375,20 @@ def compare_grid_path_with_oracle(seed: int, draws: int = 12) -> collections.Cou
     rng = np.random.default_rng(seed)
     seen = collections.Counter()
     for _ in range(draws):
-        params, (lo, hi), n, half = _random_dicke(rng)
+        d, (lo, hi), n, half = _random_dicke(rng)
         dx = (hi - lo) / n
-        wf = gaussian_superposition(params, n=n, domain=(lo, hi))
-        ref = oracles.reference_gaussian_superposition(params, n, (lo, hi))
+        wf = _tray_and_spoon(n, lo, hi, *d)
+        ref = oracles.reference_tray_and_spoon(n, lo, hi, *d)
         assert wf.amplitudes.dtype == np.float64 and _same_bits(wf.amplitudes, ref)
         as_complex = GridWavefunction(n, lo, hi, ref.copy())
-        spoon = gaussian_packet(n, lo, hi, params.x2, params.ell)
-        ref_spoon = oracles.reference_gaussian_packet(n, lo, hi, params.x2, params.ell)
+        spoon = gaussian_packet(n, lo, hi, d.x_spoon, d.small)
+        ref_spoon = oracles.reference_gaussian_packet(n, lo, hi, d.x_spoon, d.small)
         assert spoon.amplitudes.dtype == np.float64 and _same_bits(spoon.amplitudes, ref_spoon)
-        a = params.x1 - float(rng.uniform(0.0, 3.0)) * params.L
+        a = d.x_tray - float(rng.uniform(0.0, 3.0)) * d.big
         cuts = (
-            ((params.x2 - half * params.ell, params.x2 + half * params.ell), True),
-            ((params.x1 - half * params.L, params.x1 + half * params.L), False),
-            ((max(a, lo), min(a + float(rng.uniform(0.5, 4.0)) * params.L, hi)), bool(rng.integers(2))),
+            ((d.x_spoon - half * d.small, d.x_spoon + half * d.small), True),
+            ((d.x_tray - half * d.big, d.x_tray + half * d.big), False),
+            ((max(a, lo), min(a + float(rng.uniform(0.5, 4.0)) * d.big, hi)), bool(rng.integers(2))),
         )
         for state, amps in ((wf, ref), (as_complex, ref)):
             _check_spectra(state, amps)
@@ -408,10 +405,10 @@ def compare_grid_path_with_oracle(seed: int, draws: int = 12) -> collections.Cou
                 assert _same_bits(scaled.amplitudes, oracles.reference_normalized(want * 3.0, dx))
                 seen["window cuts"] += 1
             seen["complex" if state is as_complex else "real"] += 1
-        seen["auto eps"] += params.eps == _AUTO_EPS_SLOPE * params.ell / params.L
-        seen["x_tray above x_spoon"] += params.x1 > params.x2
-        seen["x_tray below x_spoon"] += params.x1 < params.x2
-        seen["n past the automatic size"] += n > dicke_grid_size(params, (lo, hi))
+        seen["auto eps"] += d.eps == _AUTO_EPS_SLOPE * d.small / d.big
+        seen["x_tray above x_spoon"] += d.x_tray > d.x_spoon
+        seen["x_tray below x_spoon"] += d.x_tray < d.x_spoon
+        seen["n past the automatic size"] += n > fine_grid_size(hi - lo, d.small / 8.0)
     return seen
 
 

@@ -4,7 +4,6 @@ public name shows as a deliberate change to this file."""
 import ketsim
 
 PUBLIC = [
-    "DickeParams",
     "GridWavefunction",
     "ImpossibleOutcomeError",
     "MeasurementRecord",
@@ -25,13 +24,10 @@ PUBLIC = [
     "controlled_phase",
     "controlled_relabel",
     "cut_entropy",
-    "dicke_domain",
-    "dicke_grid_size",
     "entropy",
     "erase_partial",
     "fidelity",
     "gaussian_packet",
-    "gaussian_superposition",
     "joint_probability",
     "list_scenarios",
     "moments",

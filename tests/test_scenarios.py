@@ -320,6 +320,29 @@ def test_dicke_tray_spoon_ratio_tracks_widths():
         run_scenario("dicke_tray_spoon", {"l_spoon": 0.0})
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"l_spoon": 0.2}, r"^l_spoon=0\.2 must be at most l_tray/10 = 0\.1$"),
+        ({"x_spoon": 3.0}, r"^x_tray and x_spoon must be 5\*\(l_tray \+ l_spoon\) = 5\.25 or more apart$"),
+        ({"n": 4}, r"^grid spacing 5\.5 of n=4 does not resolve l_spoon=0\.05 \(need <= l_spoon/8\)$"),
+        # refused by the schema before the scenario runs
+        ({"l_tray": -1.0}, r"'l_tray'=-1\.0 below allowed range"),
+        ({"eps": 1.0}, r"'eps'=1\.0 above allowed range \(open bound 1\.0\)"),
+    ],
+    ids=("l_spoon", "separation", "spacing", "l_tray", "eps"),
+)
+def test_dicke_tray_spoon_refusals_name_the_parameters(params, message):
+    with pytest.raises(ParameterError, match=message):
+        run_scenario("dicke_tray_spoon", params)
+
+
+def test_dicke_tray_spoon_admits_the_invariants_edges():
+    # a separation of exactly 5*(l_tray + l_spoon), and an explicit eps
+    for params in ({"x_spoon": 5.25}, {"eps": 0.1}):
+        assert run_scenario("dicke_tray_spoon", params).scenario == "dicke_tray_spoon"
+
+
 def test_sweep_tables_stay_aligned_across_parameter_dependent_checks():
     points = []
     for cycles in (3, 5):
