@@ -11,7 +11,6 @@ approximate.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Mapping, Sequence
 
 from .register import Register, StateVector, fold_sum, matches, prune
@@ -70,31 +69,27 @@ def _complex_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, co
     return ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
 
 
-def _check_unitary_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    m = _complex_2x2(u)
-    # U†U = I within 1e-10
-    for i in range(2):
-        for j in range(2):
-            acc = m[0][i].conjugate() * m[0][j] + m[1][i].conjugate() * m[1][j]
-            want = 1.0 if i == j else 0.0
-            if abs(acc - want) > 1e-10:
-                raise ValueError("matrix is not unitary within 1e-10")
-    return m
+def _columns_plan(reg: Register, subsystem: str, labels: tuple, matrix: tuple) -> tuple:
+    """Plan of a unitary on distinct labels of one subsystem: (subsystem
+    index, label columns).
 
-
-# A 2x2 complex matrix as its eight float parts, row by row: a plan key that
-# tells signed zeros apart, which equal complex values do not.
-_MATRIX_BITS = struct.Struct("<8d")
-
-
-def _matrix_bits(m) -> bytes:
-    (a, b), (c, d) = m
-    return _MATRIX_BITS.pack(a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
-
-
-def _matrix_from_bits(bits: bytes) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    ar, ai, br, bi, cr, ci, dr, di = _MATRIX_BITS.unpack(bits)
-    return ((complex(ar, ai), complex(br, bi)), (complex(cr, ci), complex(dr, di)))
+    The memo keys this plan by the matrix's value. Matrices equal as values
+    differ at most in the sign of a zero part, and no such sign reaches a
+    state: zero coefficients are dropped, and every output amplitude is a sum
+    that starts from +0j, which a signed-zero product leaves as it is.
+    """
+    si = reg.index(subsystem)
+    idx = tuple(reg.label_index(subsystem, lab) for lab in labels)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"labels {labels} of subsystem {subsystem!r} must be distinct")
+    n = len(idx)
+    # U†U = I within 1e-10, written so that a NaN entry fails too
+    for i in range(n):
+        for j in range(n):
+            acc = sum(matrix[k][i].conjugate() * matrix[k][j] for k in range(n))
+            if not abs(acc - (i == j)) <= 1e-10:
+                raise ValueError(f"matrix {matrix} is not unitary within 1e-10")
+    return si, _label_columns(idx, matrix)
 
 
 _SPLITTER = (
@@ -102,19 +97,6 @@ _SPLITTER = (
     (_INV_SQRT2, 0.5, -0.5),
     (_INV_SQRT2, -0.5, 0.5),
 )
-
-
-def _split_plan(reg: Register, subsystem: str, source_label: str, out_pair) -> tuple:
-    si = reg.index(subsystem)
-    l1, l2 = out_pair
-    idx = (
-        reg.label_index(subsystem, source_label),
-        reg.label_index(subsystem, l1),
-        reg.label_index(subsystem, l2),
-    )
-    if len(set(idx)) != 3:
-        raise ValueError("source label and arm pair must be three distinct labels")
-    return si, _label_columns(idx, _SPLITTER)
 
 
 def apply_split(
@@ -133,24 +115,12 @@ def apply_split(
     arms. The map is real, symmetric and self-inverse, so applying it twice
     is the identity.
     """
-    si, columns = state.register.plan((_split_plan, subsystem, source_label, out_pair))
+    l1, l2 = out_pair
+    si, columns = state.register.plan((_columns_plan, subsystem, (source_label, l1, l2), _SPLITTER))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        l1, l2 = out_pair
         log.record(apply_split, (subsystem, source_label, (l1, l2)))  # self-inverse
     return out
-
-
-def _rotation_plan(reg: Register, subsystem: str, pair, alpha) -> tuple:
-    si = reg.index(subsystem)
-    la, lb = pair
-    idx = (reg.label_index(subsystem, la), reg.label_index(subsystem, lb))
-    if idx[0] == idx[1]:
-        raise ValueError("rotation pair must be two distinct labels")
-    # Equal angles give equal cos and sin, up to the sign of a zero sine,
-    # and zero coefficients are dropped from the columns.
-    c, s = math.cos(alpha), math.sin(alpha)
-    return si, _label_columns(idx, ((c, -s), (s, c)))
 
 
 def apply_rotation(
@@ -165,36 +135,15 @@ def apply_rotation(
     |la> -> cos(a)|la> + sin(a)|lb>, |lb> -> -sin(a)|la> + cos(a)|lb>.
     n applications compose to a single rotation by n*a.
     """
-    si, columns = state.register.plan((_rotation_plan, subsystem, pair, alpha))
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    la, lb = pair
+    c, s = math.cos(alpha), math.sin(alpha)
+    si, columns = state.register.plan((_columns_plan, subsystem, (la, lb), ((c, -s), (s, c))))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        la, lb = pair
         log.record(apply_rotation, (subsystem, (la, lb), -alpha))
     return out
-
-
-def _basis_plan(reg: Register, subsystem: str, bits: bytes, pair, out_pair) -> tuple:
-    si = reg.index(subsystem)
-    m = _check_unitary_2x2(_matrix_from_bits(bits))
-    a1, a2 = pair
-    ia = (reg.label_index(subsystem, a1), reg.label_index(subsystem, a2))
-    if ia[0] == ia[1]:
-        raise ValueError("basis pair must be two distinct labels")
-    if out_pair is None:
-        return si, _label_columns(ia, m)
-    b1, b2 = out_pair
-    ib = (reg.label_index(subsystem, b1), reg.label_index(subsystem, b2))
-    allidx = ia + ib
-    if len(set(allidx)) != 4:
-        raise ValueError("pair and out_pair must be four distinct labels")
-    z = 0j
-    block = (
-        (z, z, m[0][0], m[0][1]),
-        (z, z, m[1][0], m[1][1]),
-        (m[0][0], m[0][1], z, z),
-        (m[1][0], m[1][1], z, z),
-    )
-    return si, _label_columns(allidx, block)
 
 
 def apply_basis_change(
@@ -215,7 +164,15 @@ def apply_basis_change(
     pairs.
     """
     m = _complex_2x2(u)
-    si, columns = state.register.plan((_basis_plan, subsystem, _matrix_bits(m), pair, out_pair))
+    a1, a2 = pair
+    if out_pair is None:
+        labels, matrix = (a1, a2), m
+    else:
+        b1, b2 = out_pair
+        (p, q), (r, t) = m
+        z = 0j
+        labels, matrix = (a1, a2, b1, b2), ((z, z, p, q), (z, z, r, t), (p, q, z, z), (r, t, z, z))
+    si, columns = state.register.plan((_columns_plan, subsystem, labels, matrix))
     out = _apply_columns(state, si, columns)
     if log is not None:
         log.record(apply_basis_change, (subsystem, _dagger(m), tuple(pair), out_pair and tuple(out_pair)))
@@ -315,6 +272,8 @@ def controlled_phase(
     log: OpLog | None = None,
 ) -> StateVector:
     """Multiply every branch matching the partial assignment by exp(i*phi)."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     reg = state.register
     cond_items = reg.partial_items(condition)
     phase = complex(math.cos(phi), math.sin(phi))

@@ -205,8 +205,8 @@ class WeakParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0.0):
-            raise ParameterError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma!r}")
         if not math.isfinite(self.g):
             raise ParameterError("g must be finite")
 
@@ -281,7 +281,10 @@ def weak_measure(
             label = spec.labels[li]
             if label not in observable:
                 raise ParameterError(f"observable gives no eigenvalue for populated label {label!r}")
-            shifts[li] = params.g * float(observable[label])
+            value = float(observable[label])
+            if not math.isfinite(value):
+                raise ParameterError(f"observable eigenvalue of label {label!r} must be finite, got {value!r}")
+            shifts[li] = params.g * value
     half = 10.0 * params.sigma + 5.0 * max(map(abs, shifts.values()), default=0.0)
     n = fine_grid_size(2.0 * half, params.sigma / 8.0)
     last = {shifts[key[si]]: key for key in state.amplitudes}

@@ -20,15 +20,16 @@ subsystem and label indices, a partial or full assignment's keys, a
 matrix's unitarity verdict and its label columns. `Register.plan` builds it
 with a pure function of the register and those arguments and stores it
 under them, so a repeated call does only the work that reads the state.
-A plan hit gives the bits of a fresh build for every input the API takes:
-an argument whose equal values could build different bits (a matrix
-entry's signed zeros) is keyed by its exact bits. A build that raises
-stores nothing, so an invalid argument raises on every call; a key with an
-unhashable argument builds afresh. Checks that read the state (a relabel's
-permutation check, a readout's probability floor and norm check) run on
-every call. The memo holds at most PLAN_MEMO_SIZE plans. It caches pure
-values only: threads that share a register may build one plan more than
-once, and every copy is equal.
+A plan hit gives the bits of a fresh build for every input the API takes.
+A matrix is keyed by its value: matrices equal as values differ at most in
+the sign of a zero part, and no such sign reaches a state, because zero
+coefficients are dropped and every output amplitude is a sum that starts
+from +0j. A build that raises stores nothing, so an invalid argument raises
+on every call; a key with an unhashable argument builds afresh. Checks that
+read the state (a relabel's permutation check, a readout's probability floor
+and norm check) run on every call. The memo holds at most PLAN_MEMO_SIZE
+plans. It caches pure values only: threads that share a register may build
+one plan more than once, and every copy is equal.
 """
 
 from __future__ import annotations

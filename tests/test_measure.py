@@ -245,8 +245,9 @@ def test_erase_partial_validation():
 
 
 def test_weak_params_validation():
-    with pytest.raises(ParameterError):
-        WeakParams(g=1.0, sigma=0.0)
+    for sigma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="sigma"):
+            WeakParams(g=1.0, sigma=sigma)
     WeakParams(g=1.0, sigma=1.0)
 
 
@@ -260,6 +261,9 @@ def test_weak_measure_norm_and_validation():
     assert (joint.n, joint.x_min, joint.x_max) == (4096, -25.0, 25.0)
     with pytest.raises(ParameterError):
         weak_measure(state, "spin", {"up": 1.0}, params)  # missing eigenvalue
+    for value in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="eigenvalue of label 'down' must be finite"):
+            weak_measure(state, "spin", {"up": 1.0, "down": value}, params)
     # a kick of 20 widths widens the grid instead of leaking off its edge
     far = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=40.0, sigma=2.0))
     assert far.norm_sq() == pytest.approx(1.0, abs=1e-9)

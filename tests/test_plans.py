@@ -33,8 +33,8 @@ from ketsim.register import StateVector
 
 S = 1.0 / math.sqrt(2.0)
 SPECS = [("s", ("z_up", "z_down", "x_plus", "x_minus")), ("m", ("a", "b", "c"))]
-# Signed zeros in both parts, so a coefficient whose zero part has the other
-# sign gives other bits.
+# Signed zeros in both parts, so a product whose zero part has the other sign
+# is a signed zero that the +0j start of each output sum must absorb.
 AMPS = {
     (0, 0): complex(-0.0, 0.6),
     (1, 0): complex(0.8, -0.0),
@@ -86,7 +86,7 @@ def log_bits(log):
 
 
 def basis_plans(reg):
-    return [k for k in reg._plans if k[0].__name__ == "_basis_plan"]
+    return [k for k in reg._plans if k[0].__name__ == "_columns_plan"]
 
 
 @pytest.mark.parametrize("out_pair", [None, ("x_plus", "x_minus")])
@@ -102,9 +102,9 @@ def test_basis_change_hits_give_the_bits_of_a_fresh_build(out_pair):
             want = apply_basis_change(StateVector(fresh(), dict(AMPS)), "s", second, pair, out_pair, log=want_log)
             assert bits(got) == bits(want), (first, second)
             assert log_bits(log)[1:] == log_bits(want_log)
-            # equal bits share one plan, and any other sign of zero gets its own
-            # the logged inverse holds u†, a bijection on the matrix bits
-            same = bits(want_log.entries[0][1][1]) == bits(log.entries[0][1][1])
+            # matrices equal as complex values share one plan; the logged
+            # inverse holds u†, a bijection on the matrix values
+            same = want_log.entries[0][1][1] == log.entries[0][1][1]
             assert len(basis_plans(reg)) == (1 if same else 2)
 
 
@@ -116,6 +116,23 @@ def test_rotation_hits_give_the_bits_of_a_fresh_build():
             got = apply_rotation(StateVector(reg, dict(AMPS)), "s", ("z_up", "z_down"), second)
             want = apply_rotation(StateVector(fresh(), dict(AMPS)), "s", ("z_up", "z_down"), second)
             assert bits(got) == bits(want), (first, second)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 0.3, -0.3, math.pi / 2])
+def test_a_rotation_and_the_equal_basis_change_share_one_plan(alpha):
+    c, s = math.cos(alpha), math.sin(alpha)
+    u = ((c, -s), (s, c))
+    pair = ("z_up", "z_down")
+    for rotation_first in (True, False):
+        reg = fresh()
+        ops = [
+            lambda st: apply_rotation(st, "s", pair, alpha),
+            lambda st: apply_basis_change(st, "s", u, pair),
+        ]
+        got = [op(StateVector(reg, dict(AMPS))) for op in (ops if rotation_first else ops[::-1])]
+        assert len(reg._plans) == 1
+        want = apply_basis_change(StateVector(fresh(), dict(AMPS)), "s", u, pair)
+        assert bits(got[0]) == bits(got[1]) == bits(want)
 
 
 def test_every_operation_repeats_its_fresh_result_from_the_memo():
@@ -163,10 +180,16 @@ INVALID = [
     (ValueError, lambda st: apply_rotation(st, "s", ("z_up", "bad"), 0.3), 0),
     (TypeError, lambda st: apply_rotation(st, "s", ("z_up", "z_down"), "0.3"), 0),
     (TypeError, lambda st: apply_rotation(st, "s", ("z_up", "z_down"), 0.3j), 0),
+    (ValueError, lambda st: apply_rotation(st, "s", ("z_up", "z_down"), math.nan), 0),
+    (ValueError, lambda st: apply_rotation(st, "s", ("z_up", "z_down"), math.inf), 0),
+    (ValueError, lambda st: apply_rotation(st, "s", ("z_up", "z_down"), -math.inf), 0),
     (ValueError, lambda st: apply_basis_change(st, "s", ((1.0, 0.0), (1.0, 1.0)), ("z_up", "z_down")), 0),
     (ValueError, lambda st: apply_basis_change(st, "s", ((S, S), (S, -S)), ("z_up", "z_up")), 0),
     (ValueError, lambda st: apply_basis_change(st, "s", ((S, S), (S, -S)), ("z_up", "z_down"), ("z_up", "x_minus")), 0),
     (ValueError, lambda st: apply_basis_change(st, "s", (("a", 0), (0, 1)), ("z_up", "z_down")), 0),
+    (ValueError, lambda st: apply_basis_change(st, "s", ((math.nan, 0), (0, 1)), ("z_up", "z_down")), 0),
+    (ValueError, lambda st: apply_basis_change(st, "s", ((S, S), (S, complex(0, math.nan))), ("z_up", "z_down")), 0),
+    (ValueError, lambda st: apply_basis_change(st, "s", ((math.inf, 0), (0, 1)), ("z_up", "z_down"), ("x_plus", "x_minus")), 0),
     (ValueError, lambda st: apply_basis_change(st, "q", ((S, S), (S, -S)), ("z_up", "z_down")), 0),
     (ValueError, lambda st: controlled_relabel(st, {"q": "a"}, [({"s": "z_up"}, {"s": "z_down"})]), 0),
     (ValueError, lambda st: controlled_relabel(st, {"q": "a"}, []), 0),
@@ -176,6 +199,8 @@ INVALID = [
     (ValueError, lambda st: controlled_relabel(st, {}, [({"m": "a"}, {"m": "b"}), ({"m": "a"}, {"m": "c"})]), 4),
     (ValueError, lambda st: controlled_relabel(st, {}, [({"m": "a"}, {"m": "zz"})]), 2),
     (ValueError, lambda st: controlled_phase(st, {"m": "zz"}, 0.1), 0),
+    (ValueError, lambda st: controlled_phase(st, {"m": "a"}, math.nan), 0),
+    (ValueError, lambda st: controlled_phase(st, {"m": "a"}, math.inf), 0),
     (ValueError, lambda st: project(st, "m", "zz"), 0),
     (ValueError, lambda st: project(st, "q", "a"), 0),
     (ValueError, lambda st: postselect(st, {"m": "a", "q": "a"}), 0),
