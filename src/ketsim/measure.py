@@ -324,10 +324,11 @@ def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
 
     Consumes the generator exactly as `shots` successive read_pointer calls
     do and returns the same readings; use it when only the readings matter.
+    The draw is _draw_indices': one uniform per shot, the uniforms located
+    in the cdf in sorted order and each index put back at its shot.
     """
     cdf, xs = joint._sampler
-    rng = as_generator(seed)
-    return xs[cdf.searchsorted(rng.random(shots), side="right")]
+    return xs[_draw_indices(cdf, as_generator(seed).random(shots))]
 
 
 def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> list[float]:
@@ -352,21 +353,41 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
             # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
             acc_re = np.where(keep, acc_re + (pr * b.real - npi * b.imag), acc_re)
             acc_im = np.where(keep, acc_im + (pr * b.imag + npi * b.real), acc_im)
-    return _squares(np.hypot(acc_re, acc_im))
+    return np.float_power(np.hypot(acc_re, acc_im), 2.0).tolist()
 
 
-# The batch below reproduces CPython's scalar arithmetic bit for bit, so it
+# The pointer batch reproduces CPython's scalar arithmetic bit for bit, so it
 # uses only numpy operations that round as the scalar ones do: np.hypot for
-# abs(complex), Python's float ** 2 for abs(a) ** 2 (glibc pow is not
-# correctly rounded, so np.square and x * x differ from it), and separate
-# real multiplies and adds for every complex product (numpy's complex
-# multiply may fuse them). README.md has the measured table.
+# abs(complex), np.float_power(x, 2.0) for abs(a) ** 2 (both call libm pow
+# once per value; glibc pow is not correctly rounded, so np.square and x * x
+# differ from it), and separate real multiplies and adds for every complex
+# product (numpy's complex multiply may fuse them). README.md has the
+# measured table.
+
+
+def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, side="right"), index for index.
+
+    The uniforms are located in ascending order by one searchsorted call and
+    each index is scattered back to its uniform's place. Equal uniforms get
+    equal indices, so the order a sort gives ties cannot matter. Sorted keys
+    let the binary search start from the previous key's index and predict
+    its branches: from about 100 shots on that saves more than the sort
+    costs, and a one-shot draw pays about 1 µs for it.
+    """
+    order = u.argsort()
+    js = np.empty_like(order)
+    js[order] = cdf.searchsorted(u[order], side="right")
+    return js
 
 
 def _collapse_shots(joint: WeakJointState, seed, shots: int):
     """Draw `shots` pointer positions and condition the system on each: the
     conditioning rule of every pointer readout.
 
+    The positions are drawn as pointer_readings draws them: the shots'
+    uniforms are sorted, located by one searchsorted(side="right") call and
+    scattered back (_draw_indices), which gives the plain call's indices.
     Returns (readings, kept, re, im). readings is a list of floats; kept,
     re and im have one row per key of joint.pointers, in order, and one
     column per shot. kept says whether the branch survives pruning, and re
@@ -377,12 +398,12 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     amplitudes underflow to zero, and names the first such reading.
     """
     cdf, xs = joint._sampler
-    js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
+    js = _draw_indices(cdf, as_generator(seed).random(shots))
     column = np.array([arr[js] for arr in joint.pointers.values()])
     re, im = column.real, column.imag
     mag = np.hypot(re, im)
     kept = mag > PRUNE_TOL
-    sq = np.reshape(_squares(mag), mag.shape)
+    sq = np.float_power(mag, 2.0)
     weight = np.zeros(shots)
     for keep, s in zip(kept, sq):
         weight = np.where(keep, weight + s, weight)
@@ -395,7 +416,3 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
     return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
 
-
-def _squares(values: np.ndarray) -> list[float]:
-    """v ** 2 of each value in Python floats, flattened."""
-    return [v ** 2 for v in values.ravel().tolist()]

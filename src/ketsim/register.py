@@ -194,7 +194,9 @@ def fold_sum(terms):
 
     Every float or complex reduction in ketsim goes through here, because
     builtin sum compensates float rounding from Python 3.12 on and would move
-    the last digit of some reports. No terms give int 0, as sum() does.
+    the last digit of some reports; only the ensemble mean of a pointer
+    array takes np.cumsum's last entry, which adds in the same order. No
+    terms give int 0, as sum() does.
     """
     return reduce(add, terms, 0)
 
@@ -245,12 +247,16 @@ def superpose(
     """Build a state from (amplitude, full assignment) terms.
 
     Duplicate assignments have their amplitudes summed. With normalize=False
-    the coefficients must already carry unit norm within 1e-10.
+    the coefficients must already carry unit norm within 1e-10. A NaN or
+    infinite coefficient is refused, naming its term.
     """
     amps: dict[tuple[int, ...], complex] = {}
     for coeff, assignment in terms:
         k = register.key(assignment)
-        amps[k] = amps.get(k, 0j) + complex(coeff)
+        c = complex(coeff)
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(f"coefficient of term {dict(assignment)} must be finite, got {c!r}")
+        amps[k] = amps.get(k, 0j) + c
     amps = prune(amps)
     state = StateVector(register, amps)
     n = state.norm()

@@ -447,6 +447,70 @@ def test_pointer_batch_matches_the_scalar_oracle_at_numpy_baseline_simd():
     assert int(out.split()[-1]) >= 3000
 
 
+def check_pointer_batch_identities(seed: int) -> collections.Counter:
+    """Assert the three numpy identities the pointer readout rests on; count
+    the values compared.
+
+    - np.float_power(x, 2.0) is Python's v ** 2, both libm pow, over
+      magnitudes from subnormals up to 1e150 (squares from 0 up to 1e300);
+    - measure._draw_indices is cdf.searchsorted(u, side="right"), with u
+      on cdf entries (plateaus included), repeated u and 0, 1 or 200 000 u;
+    - np.cumsum(x)[-1] is fold_sum(x.tolist()): both add left to right.
+      They differ only when x starts with -0.0 (int 0 + -0.0 is 0.0), which
+      no grid reading is.
+    """
+    from ketsim.measure import _draw_indices
+
+    rng = np.random.default_rng(seed)
+    seen = collections.Counter()
+    x = np.ldexp(rng.uniform(1.0, 2.0, 1_200_000), rng.integers(-1074, 498, 1_200_000))
+    x[rng.random(x.size) < 0.5] *= -1.0
+    x[:3] = (0.0, -0.0, 5e-324)
+    assert np.abs(x).max() < 1e150
+    want = np.array([v ** 2 for v in x.tolist()])
+    assert np.float_power(x, 2.0).tobytes() == want.tobytes()
+    seen["squares"] += x.size
+    seen["subnormal inputs"] += int(np.count_nonzero((x != 0) & (np.abs(x) < 2.2250738585072014e-308)))
+
+    cdf = balanced_joint()._sampler[0]
+    assert cdf[-2] == cdf[-1] == 1.0  # the right tail is a plateau
+    # Half the u are fresh; the rest repeat a pool of cdf entries and others.
+    pool = np.concatenate([cdf[rng.integers(cdf.size, size=64)], rng.random(64), [0.0]])
+    for shots in (0, 1, 200_000):
+        u = np.where(rng.random(shots) < 0.5, rng.random(shots), pool[rng.integers(pool.size, size=shots)])
+        js = _draw_indices(cdf, u)
+        want_js = cdf.searchsorted(u, side="right")
+        assert js.dtype == want_js.dtype and np.array_equal(js, want_js)
+        seen["draws"] += shots
+        seen["draws on a cdf entry"] += int(np.isin(u, cdf).sum())
+        seen["repeated draws"] += shots - np.unique(u).size
+
+    for _ in range(3000):
+        x = rng.normal(size=int(rng.integers(1, 400))) * 10.0 ** rng.uniform(-3, 3)
+        assert np.cumsum(x)[-1].tobytes() == np.float64(fold_sum(x.tolist())).tobytes()
+        seen["sums"] += 1
+    readings = pointer_readings(balanced_joint(), seed, 10_000)
+    assert np.cumsum(readings)[-1] == fold_sum(readings.tolist())
+    seen["sums"] += 1
+    return seen
+
+
+def test_pointer_batch_identities_hold():
+    seen = check_pointer_batch_identities(3)
+    assert seen["squares"] >= 1_000_000 and seen["draws"] == 200_001 and seen["sums"] == 3001
+    assert min(seen.values()) > 0, seen
+
+
+def test_pointer_batch_identities_hold_at_numpy_baseline_simd():
+    out = numpy_baseline.run_at_baseline(
+        """
+        import test_measure
+        print(test_measure.check_pointer_batch_identities(3)["squares"])
+        """
+    )
+    assert int(out.split()[-1]) >= 1_000_000
+
+
 def test_pointer_batch_refuses_the_first_underflowing_shot_as_the_oracle_does():
     # Amplitudes at the prune tolerance on a very coarse grid: the sampler has
     # weight, yet every position but index 1 keeps no branch.

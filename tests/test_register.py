@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,19 @@ def test_superpose_rejects_zero_and_unnormalized():
         superpose(reg, [(0.5, {"a": "0", "b": "0"})], normalize=False)
     state = superpose(reg, [(1.0, {"a": "0", "b": "0"})], normalize=False)
     assert state.support() == 1
+
+
+@pytest.mark.parametrize(
+    "coeff, shown",
+    [(math.nan, "(nan+0j)"), (math.inf, "(inf+0j)"), (-math.inf, "(-inf+0j)"), (complex(1.0, math.nan), "(1+nanj)")],
+)
+@pytest.mark.parametrize("normalize", [True, False])
+def test_superpose_refuses_a_non_finite_coefficient_by_its_term(coeff, shown, normalize):
+    reg = two_qubits()
+    terms = [(1.0, {"a": "0", "b": "0"}), (coeff, {"a": "1", "b": "0"})]
+    want = f"coefficient of term {{'a': '1', 'b': '0'}} must be finite, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        superpose(reg, terms, normalize=normalize)
 
 
 def test_amplitude_of_absent_branch_is_zero():
