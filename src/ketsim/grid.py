@@ -266,12 +266,6 @@ def window_project(
     return prob, GridWavefunction(wf.n, wf.x_min, wf.x_max, kept)
 
 
-def _fftshift(a: np.ndarray) -> np.ndarray:
-    """fftshift of an even-length array, without np.roll's overhead."""
-    half = len(a) // 2
-    return np.concatenate((a[half:], a[:half]))
-
-
 def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     """(momentum grid ascending, Born probabilities |phi_k|^2 dp).
 
@@ -289,10 +283,15 @@ def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:
     np.fft.fft(phi, out=phi)
     phi *= wf.dx
     phi /= math.sqrt(2.0 * math.pi)
-    probs = _density(phi)
+    # |phi|^2 in ascending-momentum order: the FFT's upper half holds p < 0.
+    half = wf.n // 2
+    probs = np.empty(wf.n)
+    np.abs(phi[half:], out=probs[:half])
+    np.abs(phi[:half], out=probs[half:])
     del phi
+    np.square(probs, out=probs)
     probs *= 2.0 * math.pi / (wf.n * wf.dx)
-    return grid_ps(wf.n, wf.x_min, wf.x_max), _fftshift(probs)
+    return grid_ps(wf.n, wf.x_min, wf.x_max), probs
 
 
 def moments(arg) -> tuple[float, float]:

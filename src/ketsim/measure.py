@@ -215,25 +215,29 @@ class WeakParams:
 class WeakJointState:
     """System-pointer state after a weak coupling.
 
-    pointers maps each populated system key to its (unnormalized) pointer
-    amplitude array; the system amplitude is folded in, so the total norm
-    sum_k sum_j |arr_k[j]|^2 dx is 1.
+    keys lists the populated system keys, in the state's order. Row k of the
+    complex (len(keys), n) block `pointers` is key k's (unnormalized) pointer
+    amplitude array, with the system amplitude folded in, so the total norm
+    sum_k sum_j |pointers[k, j]|^2 dx is 1.
     """
 
     register: Register
     n: int
     x_min: float
     x_max: float
-    pointers: dict
+    keys: tuple
+    pointers: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.pointers.shape != (len(self.keys), self.n):
+            raise ValueError(f"pointer block has shape {self.pointers.shape}, not {(len(self.keys), self.n)}")
 
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
     def norm_sq(self) -> float:
-        return float(
-            fold_sum(np.sum(np.abs(arr) ** 2) for arr in self.pointers.values()) * self.dx
-        )
+        return float(fold_sum(np.sum(np.abs(self.pointers) ** 2, axis=1)) * self.dx)
 
     @cached_property
     def _sampler(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,12 +246,12 @@ class WeakJointState:
         The cdf is normalized the way Generator.choice(p=...) normalizes it, so
         a searchsorted draw of one uniform picks the index choice would pick.
         A zero-weight joint raises here on every access: a cached_property
-        caches only a returned value. The arithmetic runs in place, in the
-        order of sum(|arr|^2) * dx / total, so it holds two n-point arrays.
+        caches only a returned value. The arithmetic runs row by row, in place,
+        in the order of sum(|row|^2) * dx / total, so it holds two n-point arrays.
         """
         density = np.zeros(self.n)
-        for arr in self.pointers.values():
-            density += _density(arr)
+        for row in self.pointers:
+            density += _density(row)
         density *= self.dx
         total = float(density.sum())
         if total <= PROB_FLOOR:
@@ -287,19 +291,17 @@ def weak_measure(
             shifts[li] = params.g * value
     half = 10.0 * params.sigma + 5.0 * max(map(abs, shifts.values()), default=0.0)
     n = fine_grid_size(2.0 * half, params.sigma / 8.0)
-    last = {shifts[key[si]]: key for key in state.amplitudes}
-    packets = {}
-    pointers = {}
-    for key, amp in state.amplitudes.items():
-        d = shifts[key[si]]
-        # Each real packet is built at its first key and dropped after its
-        # last, so at 2**20 points a later packet reuses a freed one's memory.
-        if d not in packets:
-            packets[d] = gaussian_packet(n, -half, half, d, params.sigma).amplitudes
-        pointers[key] = np.multiply(amp, packets[d])
-        if last[d] == key:
-            del packets[d]
-    return WeakJointState(reg, n, -half, half, pointers)
+    keys = tuple(state.amplitudes)
+    pointers = np.empty((len(keys), n), dtype=complex)
+    for d in dict.fromkeys(shifts.values()):
+        # One real packet at a time, written into its keys' rows, so at 2**20
+        # points a later packet reuses the freed one's memory.
+        packet = gaussian_packet(n, -half, half, d, params.sigma).amplitudes
+        for row, key in zip(pointers, keys):
+            if shifts[key[si]] == d:
+                np.multiply(state.amplitudes[key], packet, out=row)
+        del packet
+    return WeakJointState(reg, n, -half, half, keys, pointers)
 
 
 def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
@@ -310,13 +312,13 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     g recover the observable's expectation value. This is one shot of
     _collapse_shots, the conditioning rule that pointer_fidelities batches.
     """
-    (reading,), kept, re, im = _collapse_shots(joint, seed, 1)
+    (j,), kept, re, im = _collapse_shots(joint, seed, 1)
     post = {
         k: complex(a, b)
-        for k, keep, a, b in zip(joint.pointers, kept[:, 0].tolist(), re[:, 0].tolist(), im[:, 0].tolist())
+        for k, keep, a, b in zip(joint.keys, kept[:, 0].tolist(), re[:, 0].tolist(), im[:, 0].tolist())
         if keep
     }
-    return reading, StateVector(joint.register, post)
+    return float(joint._sampler[1][j]), StateVector(joint.register, post)
 
 
 def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
@@ -338,21 +340,17 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
     successive calls, bit for bit, and leaves the generator where those calls
     leave it. All shots are drawn and conditioned in one _collapse_shots
     batch, and each overlap adds its terms in amplitude_overlap's order: the
-    post state's keys, in joint order. Pruned branches are masked out, never
-    added as zero.
+    post state's keys, in joint order. A pruned branch's term is masked to
+    zero and a key absent from `state` gives zero: a zero moves no magnitude.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
     _, kept, re, im = _collapse_shots(joint, seed, shots)
-    ref = state.amplitudes
-    acc_re = np.zeros(shots)
-    acc_im = np.zeros(shots)
-    for k, keep, pr, npi in zip(joint.pointers, kept, re, -im):
-        if k in ref:
-            b = complex(ref[k])
-            # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
-            acc_re = np.where(keep, acc_re + (pr * b.real - npi * b.imag), acc_re)
-            acc_im = np.where(keep, acc_im + (pr * b.imag + npi * b.real), acc_im)
+    b = np.array([complex(state.amplitudes.get(k, 0.0)) for k in joint.keys])[:, None]
+    npi = -im
+    # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
+    acc_re = np.cumsum(np.where(kept, re * b.real - npi * b.imag, 0.0), axis=0)[-1]
+    acc_im = np.cumsum(np.where(kept, re * b.imag + npi * b.real, 0.0), axis=0)[-1]
     return np.float_power(np.hypot(acc_re, acc_im), 2.0).tolist()
 
 
@@ -361,8 +359,9 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
 # abs(complex), np.float_power(x, 2.0) for abs(a) ** 2 (both call libm pow
 # once per value; glibc pow is not correctly rounded, so np.square and x * x
 # differ from it), and separate real multiplies and adds for every complex
-# product (numpy's complex multiply may fuse them). README.md has the
-# measured table.
+# product (numpy's complex multiply may fuse them). Sums over the rows are
+# np.cumsum(axis=0)[-1], which adds top to bottom as fold_sum does (a sum
+# over axis 0 adds one shot's column pairwise). README.md has the table.
 
 
 def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -388,10 +387,10 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     The positions are drawn as pointer_readings draws them: the shots'
     uniforms are sorted, located by one searchsorted(side="right") call and
     scattered back (_draw_indices), which gives the plain call's indices.
-    Returns (readings, kept, re, im). readings is a list of floats; kept,
-    re and im have one row per key of joint.pointers, in order, and one
-    column per shot. kept says whether the branch survives pruning, and re
-    and im hold its post-readout amplitude where it does. Each shot gives
+    Returns (js, kept, re, im). js holds each shot's grid index; kept, re
+    and im have one row per row of joint.pointers and one column per shot.
+    kept says whether the branch survives pruning, and re and im hold its
+    post-readout amplitude where it does. Each shot gives
     the bits of prune, a fold_sum weight, conditioning_scale and a * scale
     over that shot's amplitudes. The position was drawn from the density,
     so its weight is positive; the 1e-300 floor only rejects a sample whose
@@ -399,20 +398,16 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     """
     cdf, xs = joint._sampler
     js = _draw_indices(cdf, as_generator(seed).random(shots))
-    column = np.array([arr[js] for arr in joint.pointers.values()])
+    column = joint.pointers[:, js]
     re, im = column.real, column.imag
     mag = np.hypot(re, im)
     kept = mag > PRUNE_TOL
-    sq = np.float_power(mag, 2.0)
-    weight = np.zeros(shots)
-    for keep, s in zip(kept, sq):
-        weight = np.where(keep, weight + s, weight)
-    readings = xs[js].tolist()
+    weight = np.cumsum(np.where(kept, np.float_power(mag, 2.0), 0.0), axis=0)[-1]
     refused = np.flatnonzero(weight <= 1e-300)
     if refused.size:
         i = refused[0]
-        conditioning_scale(float(weight[i]), f"pointer reading {readings[i]!r}", floor=1e-300)
+        conditioning_scale(float(weight[i]), f"pointer reading {float(xs[js[i]])!r}", floor=1e-300)
     scale = 1.0 / np.sqrt(weight)
     # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
-    return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
+    return js, kept, re * scale - im * 0.0, re * 0.0 + im * scale
 

@@ -219,7 +219,7 @@ def _ref_shots(joint, seed, shots: int):
 
     cdf, xs = joint._sampler
     js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
-    return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers.values())))
+    return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers)))
 
 
 def _ref_collapse(keys, column, reading: float) -> dict:
@@ -238,7 +238,7 @@ def reference_read_pointer(joint, seed):
     from ketsim import StateVector
 
     ((reading, column),) = _ref_shots(joint, seed, 1)
-    return reading, StateVector(joint.register, _ref_collapse(joint.pointers, column, reading))
+    return reading, StateVector(joint.register, _ref_collapse(joint.keys, column, reading))
 
 
 def reference_pointer_fidelities(joint, state, seed, shots: int) -> list[float]:
@@ -247,7 +247,7 @@ def reference_pointer_fidelities(joint, state, seed, shots: int) -> list[float]:
 
     ref = state.amplitudes
     return [
-        abs(amplitude_overlap(_ref_collapse(joint.pointers, column, reading), ref)) ** 2
+        abs(amplitude_overlap(_ref_collapse(joint.keys, column, reading), ref)) ** 2
         for reading, column in _ref_shots(joint, seed, shots)
     ]
 

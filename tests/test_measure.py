@@ -1,6 +1,8 @@
 import cmath
 import collections
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,7 +269,7 @@ def test_weak_measure_norm_and_validation():
     # a kick of 20 widths widens the grid instead of leaking off its edge
     far = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=40.0, sigma=2.0))
     assert far.norm_sq() == pytest.approx(1.0, abs=1e-9)
-    assert all(abs(arr[0]) < 1e-12 and abs(arr[-1]) < 1e-12 for arr in far.pointers.values())
+    assert all(abs(arr[0]) < 1e-12 and abs(arr[-1]) < 1e-12 for arr in far.pointers)
     # 8 points per sigma=0.01 over +-1500.1 would need more than 2**20 points
     with pytest.raises(ParameterError, match=str(2**20)):
         weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=300.0, sigma=0.01))
@@ -340,7 +342,7 @@ def test_read_pointer_draws_the_index_generator_choice_draws():
     # The cached cdf must reproduce Generator.choice(p=density/total) draw for
     # draw; if numpy ever changes choice, this fails instead of moving bytes.
     joint = balanced_joint()
-    stack = np.stack(list(joint.pointers.values()))
+    stack = joint.pointers
     density = np.sum(np.abs(stack) ** 2, axis=0) * joint.dx
     p = density / float(density.sum())
     ours = np.random.default_rng(11)
@@ -419,7 +421,7 @@ def compare_pointer_batch_with_oracle(seed: int, shots: int = 30) -> collections
             assert reading == want_reading
             assert repr(post.amplitudes) == repr(want.amplitudes)
             common = [k for k in post.amplitudes if k in ref.amplitudes]
-            seen["pruned"] += post.support() < len(joint.pointers)
+            seen["pruned"] += post.support() < len(joint.keys)
             seen["ref lacks a key"] += len(common) < post.support()
             seen["ref smaller, other order"] += (
                 post.support() > ref.support() and common != [k for k in ref.amplitudes if k in common]
@@ -433,6 +435,23 @@ def test_pointer_batch_matches_the_scalar_oracle_bit_for_bit():
     seen = compare_pointer_batch_with_oracle(5)
     assert seen["shots"] >= 3000
     assert min(seen.values()) > 0, seen
+
+
+def test_pointer_batch_adds_many_branches_in_order_for_one_shot():
+    # With eight or more rows, a sum over axis 0 of one shot's column adds
+    # pairwise; the batch must still add top to bottom, as the oracle does.
+    reg = new_register([("spin", ("up", "down")), ("tag", tuple(f"t{i}" for i in range(12)))])
+    rng = np.random.default_rng(3)
+    terms = [(complex(*rng.normal(size=2)), {"spin": s, "tag": f"t{i}"}) for s in ("up", "down") for i in range(12)]
+    state = superpose(reg, [terms[i] for i in rng.permutation(24)])
+    ref = superpose(reg, [terms[i] for i in rng.permutation(24)[:15]])
+    joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(0.7, 2.0))
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        reading, post = read_pointer(joint, ours)
+        want_reading, want = oracles.reference_read_pointer(joint, theirs)
+        assert reading == want_reading and repr(post.amplitudes) == repr(want.amplitudes)
+        assert pointer_fidelities(joint, ref, ours, 1) == oracles.reference_pointer_fidelities(joint, ref, theirs, 1)
 
 
 def test_pointer_batch_matches_the_scalar_oracle_at_numpy_baseline_simd():
@@ -517,7 +536,7 @@ def test_pointer_batch_refuses_the_first_underflowing_shot_as_the_oracle_does():
     reg = spin_register()
     key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
     arr = np.array([1e-15, 2e-15, 1e-15, 1e-15], dtype=complex)
-    joint = WeakJointState(reg, 4, -1e20, 1e20, {key: arr})
+    joint = WeakJointState(reg, 4, -1e20, 1e20, (key,), arr[None, :])
     ref = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})])
     later = 0
     for seed in range(20):
@@ -547,8 +566,8 @@ def test_weak_joint_arrays_match_out_of_place_formulas():
     for key, amp in state.amplitudes.items():
         center = params.g if key[0] == 0 else -params.g
         packet = gaussian_packet(joint.n, joint.x_min, joint.x_max, center, params.sigma)
-        assert np.array_equal(joint.pointers[key].view(float), (amp * packet.amplitudes).view(float))
-    density = sum(np.abs(arr) ** 2 for arr in joint.pointers.values()) * joint.dx
+        assert np.array_equal(joint.pointers[joint.keys.index(key)].view(float), (amp * packet.amplitudes).view(float))
+    density = sum(np.abs(arr) ** 2 for arr in joint.pointers) * joint.dx
     cdf = (density / float(density.sum())).cumsum()
     cdf /= cdf[-1]
     assert np.array_equal(joint._sampler[0], cdf)
@@ -557,7 +576,7 @@ def test_weak_joint_arrays_match_out_of_place_formulas():
 def test_zero_weight_joint_raises_on_every_call():
     reg = spin_register()
     key = (reg.label_index("spin", "up"), reg.label_index("tag", "t0"))
-    joint = WeakJointState(reg, 4096, -40.0, 40.0, {key: np.zeros(4096, dtype=complex)})
+    joint = WeakJointState(reg, 4096, -40.0, 40.0, (key,), np.zeros((1, 4096), dtype=complex))
     for _ in range(2):
         with pytest.raises(ImpossibleOutcomeError):
             read_pointer(joint, 0)
@@ -565,6 +584,34 @@ def test_zero_weight_joint_raises_on_every_call():
             pointer_readings(joint, 0, 10)
         with pytest.raises(ImpossibleOutcomeError):
             pointer_fidelities(joint, superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})]), 0, 10)
+
+
+def test_weak_joint_refuses_a_block_of_the_wrong_shape():
+    reg = spin_register()
+    keys = ((0, 0), (1, 0))
+    for shape in ((2, 3), (1, 4), (3, 4), (8,)):
+        want = f"pointer block has shape {shape}, not (2, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            WeakJointState(reg, 4, -1.0, 1.0, keys, np.ones(shape, dtype=complex))
+    WeakJointState(reg, 4, -1.0, 1.0, keys, np.ones((2, 4), dtype=complex))
+
+
+def test_sampler_adds_the_rows_one_at_a_time():
+    # A density of the whole block at once would hold K n-point arrays; the
+    # row loop holds the running density and one row's density.
+    n = 4096
+    reg = spin_register()
+    keys = ((0, 0), (0, 1), (1, 0), (1, 1))
+    block = np.full((len(keys), n), 0.5 + 0.5j)
+    grid_xs(n, -1.0, 1.0)  # the shared position grid is cached, not counted
+    joint = WeakJointState(reg, n, -1.0, 1.0, keys, block)
+    tracemalloc.start()
+    try:
+        joint._sampler
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
 
 
 def test_refusal_names_the_outcome_verbatim():
