@@ -24,7 +24,6 @@ from .evolve import (
     apply_split,
     controlled_phase,
     controlled_relabel,
-    recombine_probability,
     time_reverse,
 )
 from .grid import (
@@ -47,6 +46,7 @@ from .measure import (
     postselect_out,
     project,
     read_pointer,
+    recombine_probability,
     weak_measure,
 )
 from .register import (

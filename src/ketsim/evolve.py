@@ -5,7 +5,8 @@ in-place rotations, basis changes between label pairs, conditional label
 permutations, conditional phases). Operations optionally append their
 inverse to an OpLog, as the call that undoes them; time_reverse makes those
 calls in reverse order, so round trips are exact rather than numerically
-approximate.
+approximate. Nothing here reads a probability: a readout that runs a state
+through an operation first, such as recombine_probability, lives in measure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, Sequence
 
-from .register import Register, StateVector, fold_sum, matches, prune
+from .register import Register, StateVector, matches, prune
 
 Matrix2 = Sequence[Sequence[complex]]
 
@@ -298,23 +299,3 @@ def time_reverse(state: StateVector, log: OpLog) -> StateVector:
         out = inverse(out, *args)
     return out
 
-
-def recombine_probability(
-    state: StateVector,
-    subsystem: str,
-    pair: tuple[str, str],
-    source_label: str,
-) -> float:
-    """Probability of finding the subsystem back at its source after the
-    inverse split, without mutating the state.
-
-    Feeds the arm pair through the splitter's return pass and reads the Born
-    weight of the source exit port: per spectator branch this is
-    |a_l1 + a_l2|^2 / 2. Apply it to pre-recombination states; amplitude
-    already sitting on the source label re-splits into the arms and
-    contributes nothing to the source port.
-    """
-    after = apply_split(state, subsystem, source_label, pair)
-    si = state.register.index(subsystem)
-    isrc = state.register.label_index(subsystem, source_label)
-    return float(fold_sum(abs(a) ** 2 for k, a in after.amplitudes.items() if k[si] == isrc))

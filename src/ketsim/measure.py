@@ -1,4 +1,5 @@
-"""Born-rule readout: projective, post-selected, partial, and weak measurement.
+"""Born-rule readout: projective, post-selected, partial, and weak measurement,
+and recombination (the source port's joint_probability after a return split).
 
 Everything here is a pure transformation; randomness enters only through a
 caller-supplied seed or numpy Generator, so runs replay exactly. Projections
@@ -16,6 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
+from .evolve import apply_split
 from .grid import _density, fine_grid_size, gaussian_packet, grid_xs
 from .register import (
     NORM_TOL,
@@ -78,6 +80,24 @@ def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> flo
     """Born weight of a partial assignment, without projecting."""
     items = state.register.partial_items(assignments)
     return float(fold_sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
+
+
+def recombine_probability(
+    state: StateVector,
+    subsystem: str,
+    pair: tuple[str, str],
+    source_label: str,
+) -> float:
+    """Probability of finding the subsystem back at its source after the
+    inverse split, without mutating the state.
+
+    Feeds the arm pair through the splitter's return pass and reads the Born
+    weight of the source exit port: per spectator branch this is
+    |a_l1 + a_l2|^2 / 2. Apply it to pre-recombination states; amplitude
+    already sitting on the source label re-splits into the arms and
+    contributes nothing to the source port.
+    """
+    return joint_probability(apply_split(state, subsystem, source_label, pair), {subsystem: source_label})
 
 
 def _condition(register: Register, image: dict, outcome: str | Callable[[], str]) -> tuple[float, StateVector]:
@@ -333,15 +353,16 @@ def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
     return xs[_draw_indices(cdf, as_generator(seed).random(shots))]
 
 
-def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> list[float]:
+def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> np.ndarray:
     """Fidelity with `state` of the system after each of `shots` pointer readouts.
 
-    Returns fidelity(read_pointer(joint, rng)[1], state) for `shots`
-    successive calls, bit for bit, and leaves the generator where those calls
-    leave it. All shots are drawn and conditioned in one _collapse_shots
-    batch, and each overlap adds its terms in amplitude_overlap's order: the
-    post state's keys, in joint order. A pruned branch's term is masked to
-    zero and a key absent from `state` gives zero: a zero moves no magnitude.
+    Returns a float64 array of fidelity(read_pointer(joint, rng)[1], state)
+    for `shots` successive calls, bit for bit, and leaves the generator where
+    those calls leave it. All shots are drawn and conditioned in one
+    _collapse_shots batch, and each overlap adds its terms in
+    amplitude_overlap's order: the post state's keys, in joint order. A pruned
+    branch's term is masked to zero and a key absent from `state` gives zero:
+    a zero moves no magnitude.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
@@ -351,7 +372,7 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
     # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
     acc_re = np.cumsum(np.where(kept, re * b.real - npi * b.imag, 0.0), axis=0)[-1]
     acc_im = np.cumsum(np.where(kept, re * b.imag + npi * b.real, 0.0), axis=0)[-1]
-    return np.float_power(np.hypot(acc_re, acc_im), 2.0).tolist()
+    return np.float_power(np.hypot(acc_re, acc_im), 2.0)
 
 
 # The pointer batch reproduces CPython's scalar arithmetic bit for bit, so it

@@ -25,11 +25,10 @@ A matrix is keyed by its value: matrices equal as values differ at most in
 the sign of a zero part, and no such sign reaches a state, because zero
 coefficients are dropped and every output amplitude is a sum that starts
 from +0j. A build that raises stores nothing, so an invalid argument raises
-on every call; a key with an unhashable argument builds afresh. Checks that
-read the state (a relabel's permutation check, a readout's probability floor
-and norm check) run on every call. The memo holds at most PLAN_MEMO_SIZE
-plans. It caches pure values only: threads that share a register may build
-one plan more than once, and every copy is equal.
+on every call. Checks that read the state (a relabel's permutation check, a
+readout's probability floor and norm check) run on every call. The memo
+holds at most PLAN_MEMO_SIZE plans. It caches pure values only: threads that
+share a register may build one plan more than once, and every copy is equal.
 """
 
 from __future__ import annotations
@@ -138,14 +137,10 @@ class Register:
         register under the key.
 
         `build` must depend on nothing but the register and `args`. A build
-        that raises stores nothing; a key with an unhashable argument builds
-        afresh on every call.
+        that raises stores nothing.
         """
         plans = self._plans
-        try:
-            found = plans.get(key)
-        except TypeError:
-            return key[0](self, *key[1:])
+        found = plans.get(key)
         if found is None:
             if len(plans) >= PLAN_MEMO_SIZE:
                 plans.clear()
@@ -194,9 +189,9 @@ def fold_sum(terms):
 
     Every float or complex reduction in ketsim goes through here, because
     builtin sum compensates float rounding from Python 3.12 on and would move
-    the last digit of some reports; only the ensemble mean of a pointer
-    array takes np.cumsum's last entry, which adds in the same order. No
-    terms give int 0, as sum() does.
+    the last digit of some reports; only the means of a pointer array (the
+    readings' and the single-shot fidelities') take np.cumsum's last entry,
+    which adds in the same order. No terms give int 0, as sum() does.
     """
     return reduce(add, terms, 0)
 
@@ -257,13 +252,10 @@ def superpose(
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError(f"coefficient of term {dict(assignment)} must be finite, got {c!r}")
         amps[k] = amps.get(k, 0j) + c
-    amps = prune(amps)
-    state = StateVector(register, amps)
-    n = state.norm()
+    state = StateVector(register, prune(amps))
     if normalize:
-        if n < 1e-12:
-            raise ValueError("terms sum to the zero state; nothing to normalize")
         return state.normalized()
+    n = state.norm()
     if abs(n - 1.0) > NORM_TOL:
         raise ValueError(f"norm is {n!r}, not 1 within {NORM_TOL} (pass normalize=True?)")
     return state

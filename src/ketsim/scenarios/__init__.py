@@ -9,6 +9,8 @@ share a stream for the same seed.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import operator
 import zlib
@@ -72,9 +74,9 @@ class Scenario:
 
 
 class StepFailure(RuntimeError):
-    """A timeline step hit an impossible outcome; names the step."""
+    """A timeline step hit an impossible outcome; names the scenario and step."""
 
-    def __init__(self, scenario: str, step: str, cause: Exception):
+    def __init__(self, scenario: str | None, step: str, cause: Exception):
         super().__init__(f"scenario {scenario!r} failed at step {step!r}: {cause}")
         self.scenario = scenario
         self.step = step
@@ -82,19 +84,20 @@ class StepFailure(RuntimeError):
 
 
 @contextmanager
-def guard(scenario: str, step: str):
-    """Wrap a timeline step so outcome errors carry the step label."""
+def guard(step: str):
+    """Wrap a timeline step so outcome errors carry the step label; run_scenario adds the scenario's name."""
     try:
         yield
     except ImpossibleOutcomeError as exc:
-        raise StepFailure(scenario, step, exc) from exc
+        raise StepFailure(None, step, exc) from exc
 
 
 def scenario_rng(name: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
-def _registry() -> dict[str, Scenario]:
+@functools.cache
+def catalog() -> dict[str, Scenario]:
     # Imported lazily so the package can load without pulling every module
     # at import time; order here is the catalog order.
     from . import annihilation, collisions, incomplete, interference, spatial, zeno
@@ -117,34 +120,13 @@ def _registry() -> dict[str, Scenario]:
     return {s.name: s for s in ordered}
 
 
-_SCENARIOS: dict[str, Scenario] | None = None
-
-
-def catalog() -> dict[str, Scenario]:
-    global _SCENARIOS
-    if _SCENARIOS is None:
-        _SCENARIOS = _registry()
-    return _SCENARIOS
-
-
 def list_scenarios() -> list[tuple[str, dict, str]]:
-    """(name, parameter schema with defaults, summary) per scenario."""
-    out = []
-    for s in catalog().values():
-        schema = {
-            p.name: {
-                "kind": p.kind,
-                "default": p.default,
-                "low": p.low,
-                "high": p.high,
-                "low_open": p.low_open,
-                "high_open": p.high_open,
-                "doc": p.doc,
-            }
-            for p in s.params
-        }
-        out.append((s.name, schema, s.summary))
-    return out
+    """(name, parameter schema: each ParamSpec's fields but its name, summary) per scenario."""
+    fields = [f.name for f in dataclasses.fields(ParamSpec) if f.name != "name"]
+    return [
+        (s.name, {p.name: {f: getattr(p, f) for f in fields} for p in s.params}, s.summary)
+        for s in catalog().values()
+    ]
 
 
 def resolve_params(scenario: Scenario, overrides: Mapping | None) -> dict:
@@ -173,7 +155,10 @@ def run_scenario(name: str, params: Mapping | None = None, seed: int = 0) -> Sce
     if type(seed) is not int or seed < 0:
         raise ParameterError(f"seed expects a non-negative integer, got {seed!r}")
     resolved = resolve_params(scenario, params)
-    steps, checks, notes = scenario.run(resolved, seed)
+    try:
+        steps, checks, notes = scenario.run(resolved, seed)
+    except StepFailure as exc:
+        raise StepFailure(name, exc.step, exc.cause) from exc.cause
     return ScenarioReport(
         scenario=name,
         params=resolved,

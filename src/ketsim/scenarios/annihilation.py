@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 
 from ..entangle import cut_entropy, entropy, schmidt
-from ..evolve import apply_basis_change, apply_split, controlled_relabel, recombine_probability
-from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
+from ..evolve import apply_basis_change, apply_split, controlled_relabel
+from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project, recombine_probability
 from ..register import amplitude, fidelity, new_register, superpose
 from ..report import Check, make_step
 from . import HADAMARD, Scenario, guard
@@ -63,7 +63,6 @@ def _qo_unitaries(state):
 
 
 def _run_qo_core(params, seed):
-    name = "qo_core"
     reg = _pair_register()
     idle = {"photons": "none", "det1": "ready", "det2": "ready"}
     state = superpose(reg, [(1.0, {"electron": "src", "positron": "src", **idle})])
@@ -94,7 +93,7 @@ def _run_qo_core(params, seed):
     checks.append(Check("p_click_t1", "abs", 0.25, det1_dist.get("click", 0.0), 1e-12, "joint-Born oracle"))
     steps.append(make_step("first annihilation window", state, distribution=("det1", det1_dist)))
 
-    with guard(name, "no click at t1"):
+    with guard("no click at t1"):
         rec1 = project(state, "det1", "ready")
     state = rec1.post_state
     golden_t1 = superpose(
@@ -128,7 +127,7 @@ def _run_qo_core(params, seed):
     )
     steps.append(make_step("second annihilation window", state, distribution=("det2", det2_dist)))
 
-    with guard(name, "no click at t2"):
+    with guard("no click at t2"):
         rec2 = project(state, "det2", "ready")
     state = rec2.post_state
     golden_t2 = superpose(
@@ -162,7 +161,7 @@ def _run_qo_core(params, seed):
     oneshot = _qo_unitaries(superpose(reg, [(1.0, {"electron": "src", "positron": "src", **idle})]))
     joint_silent = joint_probability(oneshot, {"det1": "ready", "det2": "ready"})
     checks.append(Check("deferred_joint_silent", "abs", 0.5, joint_silent, 1e-12, "one-shot joint-Born oracle"))
-    with guard(name, "deferred conditioning"):
+    with guard("deferred conditioning"):
         deferred = postselect(oneshot, {"det1": "ready", "det2": "ready"})
     checks.append(
         Check(
@@ -207,7 +206,6 @@ QO_CORE = Scenario(
 
 
 def _run_hardy_ci(params, seed):
-    name = "hardy_ci"
     reg = new_register(
         [
             ("electron", ("src", "arm1", "arm2", "ann")),
@@ -237,7 +235,7 @@ def _run_hardy_ci(params, seed):
     checks.append(Check("p_annihilation", "abs", 0.25, gamma_dist.get("pair", 0.0), 1e-12, "joint-Born oracle"))
     steps.append(make_step("overlap region", state, distribution=("gamma", gamma_dist)))
 
-    with guard(name, "no annihilation"):
+    with guard("no annihilation"):
         rec = postselect(state, {"gamma": "none"})
     state = rec.post_state
 
@@ -251,13 +249,13 @@ def _run_hardy_ci(params, seed):
         Check("marginal_electron_arm1", "abs", 2.0 / 3.0,
               born_probabilities(state, "electron").get("arm1", 0.0), 1e-12, "joint-Born oracle")
     )
-    with guard(name, "conditioning on electron arm2"):
+    with guard("conditioning on electron arm2"):
         cond_e2 = project(state, "electron", "arm2").post_state
     checks.append(
         Check("p_arm4_given_arm2", "abs", 1.0, born_probabilities(cond_e2, "positron").get("arm4", 0.0), 1e-12,
               "joint-Born oracle")
     )
-    with guard(name, "conditioning on positron arm3"):
+    with guard("conditioning on positron arm3"):
         cond_p3 = project(state, "positron", "arm3").post_state
     checks.append(
         Check("p_arm1_given_arm3", "abs", 1.0, born_probabilities(cond_p3, "electron").get("arm1", 0.0), 1e-12,
@@ -295,7 +293,6 @@ HARDY_CI = Scenario(
 
 
 def _run_ghostly_mirror(params, seed):
-    name = "ghostly_mirror"
     reg = new_register(
         [
             ("spin", ("z_up", "z_down", "x_plus", "x_minus")),
@@ -328,7 +325,7 @@ def _run_ghostly_mirror(params, seed):
     )
     steps.append(make_step("diagonal rewrite", state))
 
-    with guard(name, "scattering exclusion"):
+    with guard("scattering exclusion"):
         rec = postselect_out(state, {"spin": "x_minus", "photon": "left"})
     state = rec.post_state
     golden_excl = superpose(
@@ -364,7 +361,7 @@ def _run_ghostly_mirror(params, seed):
 
     spin_dist = born_probabilities(state, "spin")
     checks.append(Check("p_z_down", "abs", 1.0 / 6.0, spin_dist.get("z_down", 0.0), 1e-12, "joint-Born oracle"))
-    with guard(name, "rare spin outcome"):
+    with guard("rare spin outcome"):
         down = project(state, "spin", "z_down")
     p_left = born_probabilities(down.post_state, "photon").get("left", 0.0)
     checks.append(Check("photon_left_given_z_down", "abs", 1.0, p_left, 1e-12, "joint-Born oracle"))

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from ..entangle import cut_entropy, entropy, schmidt
-from ..evolve import OpLog, apply_split, controlled_relabel, recombine_probability, time_reverse
-from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
+from ..evolve import OpLog, apply_split, controlled_relabel, time_reverse
+from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project, recombine_probability
 from ..register import fidelity, new_register, superpose
 from ..report import Check, make_step
 from . import Scenario, guard
@@ -127,13 +127,13 @@ def _run_atom_collision(params, seed):
     checks.append(
         Check("entropy_final", "abs", entropy(FINAL_SPECTRUM), s_final, 1e-12, "by-hand Gram eigenvalue oracle")
     )
-    with guard("atom_collision", "conditioning on first deflection"):
+    with guard("conditioning on first deflection"):
         cond_3d = project(state, "atom2", "arm3d").post_state
     checks.append(
         Check("p_arm2d_given_3d", "abs", 1.0, born_probabilities(cond_3d, "atom1").get("arm2d", 0.0), 1e-12,
               "joint-Born oracle")
     )
-    with guard("atom_collision", "conditioning on second deflection"):
+    with guard("conditioning on second deflection"):
         cond_3dd = project(state, "atom2", "arm3dd").post_state
     checks.append(
         Check("p_arm1d_given_3dd", "abs", 1.0, born_probabilities(cond_3dd, "atom1").get("arm1d", 0.0), 1e-12,
@@ -169,7 +169,6 @@ ATOM_COLLISION = Scenario(
 
 
 def _run_oblivion_with_pointers(params, seed):
-    name = "oblivion_with_pointers"
     reg = _atom_register(with_pointers=True)
     initial = superpose(reg, [(1.0, {"atom1": "src", "atom2": "src", "ptr1": "idle", "ptr2": "idle"})])
     log = OpLog()
@@ -208,7 +207,7 @@ def _run_oblivion_with_pointers(params, seed):
     steps.append(make_step("pointer coupling", state, entropies=entropies))
 
     # The subspace where a collision did happen is maximally entangled.
-    with guard(name, "collided subspace"):
+    with guard("collided subspace"):
         collided = postselect_out(state, {"atom2": "arm4"})
     golden_collided = superpose(
         reg,
@@ -238,11 +237,11 @@ def _run_oblivion_with_pointers(params, seed):
     checks.append(Check("p_kick_t1", "abs", 0.25, p_kick1, 1e-12, "joint-Born oracle"))
     checks.append(Check("p_kick_t2", "abs", 0.25, p_kick2, 1e-12, "joint-Born oracle"))
 
-    with guard(name, "quiet readout"):
+    with guard("quiet readout"):
         quiet = postselect(state, {"ptr1": "idle", "ptr2": "idle"})
-    with guard(name, "first-pointer kick"):
+    with guard("first-pointer kick"):
         kick1 = postselect(state, {"ptr1": "kick", "ptr2": "idle"})
-    with guard(name, "second-pointer kick"):
+    with guard("second-pointer kick"):
         kick2 = postselect(state, {"ptr1": "idle", "ptr2": "kick"})
     r_quiet = recombine_probability(quiet.post_state, "atom1", ("arm1d", "arm2d"), "src")
     r_kick1 = recombine_probability(kick1.post_state, "atom1", ("arm1d", "arm2d"), "src")

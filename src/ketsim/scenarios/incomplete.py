@@ -26,7 +26,7 @@ from ..measure import (
     read_pointer,
     weak_measure,
 )
-from ..register import fidelity, fold_sum, new_register, superpose
+from ..register import fidelity, new_register, superpose
 from ..report import Check, make_step
 from . import ParamSpec, Scenario, guard, scenario_rng
 
@@ -38,7 +38,6 @@ _MAX_WALK_STEPS = 100000
 
 
 def _run_partial_erasure(params, seed):
-    name = "partial_erasure"
     eps = params["eps"]
     target = params["target"]
     reg = new_register([("spin", ("up", "down"))])
@@ -64,7 +63,7 @@ def _run_partial_erasure(params, seed):
         )
     state = initial
     count = 0
-    with guard(name, "null-result walk"):
+    with guard("null-result walk"):
         while born_probabilities(state, "spin").get("up", 0.0) < target:
             state = apply_partial_outcome(state, "spin", "down", eps, "no-click").post_state
             count += 1
@@ -89,7 +88,7 @@ def _run_partial_erasure(params, seed):
         )
     )
 
-    with guard(name, "bias inversion"):
+    with guard("bias inversion"):
         eps_prime, success, restored = erase_partial(state, "spin", ("up", "down"))
     fid = fidelity(restored, initial)
     checks.append(
@@ -117,7 +116,7 @@ def _run_partial_erasure(params, seed):
             (math.sqrt(0.01) * cmath.exp(1j * _PHASE), {"spin": "down"}),
         ],
     )
-    with guard(name, "bias inversion, 99/1 state"):
+    with guard("bias inversion, 99/1 state"):
         ep2, success2, restored2 = erase_partial(biased, "spin", ("up", "down"))
     fid2 = fidelity(restored2, initial)
     checks.append(
@@ -173,7 +172,7 @@ def _run_weak_ensemble(params, seed):
 
     # Ensemble statistics with a symmetric +-1 observable: mean reading 0.
     joint = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma))
-    with guard("weak_ensemble", "ensemble readings"):
+    with guard("ensemble readings"):
         # numpy's accumulate adds left to right, as fold_sum does.
         mean = float(np.cumsum(pointer_readings(joint, rng, n_shots))[-1]) / n_shots
     se = math.sqrt(sigma * sigma / 2.0 + g * g) / math.sqrt(n_shots)
@@ -188,8 +187,8 @@ def _run_weak_ensemble(params, seed):
     # Disturbance: a pointer twenty times wider than its kick leaves the
     # system almost untouched, averaged over outcomes.
     joint1 = weak_measure(state, "spin", {"up": 1.0, "down": 0.0}, WeakParams(g, sigma_single))
-    with guard("weak_ensemble", "gentle single shots"):
-        mean_fid = fold_sum(pointer_fidelities(joint1, state, rng, singles)) / singles
+    with guard("gentle single shots"):
+        mean_fid = float(np.cumsum(pointer_fidelities(joint1, state, rng, singles))[-1]) / singles
     overlap_bound = 0.5 * (1.0 + math.exp(-g * g / (4.0 * sigma_single * sigma_single)))
     checks.append(Check("single_shot_fidelity", "ge", 0.999, mean_fid, 0.0, "gentleness threshold"))
     checks.append(
@@ -206,7 +205,7 @@ def _run_weak_ensemble(params, seed):
     # Strong limit: a pointer much narrower than its kick is an ordinary
     # projective readout.
     joints = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g, sigma_strong))
-    with guard("weak_ensemble", "strong-limit shot"):
+    with guard("strong-limit shot"):
         reading_s, post_s = read_pointer(joints, rng)
     dist = born_probabilities(post_s, "spin")
     top = max(dist.values())

@@ -15,8 +15,8 @@ import math
 
 from ..entangle import cut_entropy
 from ..errors import ParameterError
-from ..evolve import apply_basis_change, apply_split, controlled_phase, controlled_relabel, recombine_probability
-from ..measure import born_probabilities, project
+from ..evolve import apply_basis_change, apply_split, controlled_phase, controlled_relabel
+from ..measure import born_probabilities, project, recombine_probability
 from ..register import new_register, superpose
 from ..report import Check, make_step
 from . import HADAMARD, ParamSpec, Scenario, guard
@@ -79,7 +79,7 @@ def _run_quantum_erasure(params, seed):
     checks.append(Check("visibility_erased", "ge", 0.99, v_erased, 0.0, "interference closed form"))
 
     # Representative pass at a quarter-period phase for the timeline record.
-    with guard("quantum_erasure", "diagonal marker readout"):
+    with guard("diagonal marker readout"):
         marked_arms, recombined, rec = _erasure_pass(tagged, math.pi / 2.0)
     steps = [
         make_step("photon staged", staged),

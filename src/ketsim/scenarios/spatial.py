@@ -87,7 +87,7 @@ def _run_dicke(params, seed):
         Check("uncertainty_pre", "ge", 0.5, std_x * std_p_pre, 1e-3, "uncertainty lower bound")
     )
     spoon_window = (x_spoon - half * small, x_spoon + half * small)
-    with guard("dicke_tray_spoon", "faraway-window mass"):
+    with guard("faraway-window mass"):
         p_spoon_pre, _ = window_project(wf, spoon_window, keep_inside=True)
     eps_sq = eps * eps
     checks.append(
@@ -108,7 +108,7 @@ def _run_dicke(params, seed):
     ]
 
     tray_window = (x_tray - half * big, x_tray + half * big)
-    with guard("dicke_tray_spoon", "watched region stays empty"):
+    with guard("watched region stays empty"):
         p_null, post = window_project(wf, tray_window, keep_inside=False)
     p_null_expected = (1.0 - eps_sq) * math.erfc(half) + eps_sq
     checks.append(

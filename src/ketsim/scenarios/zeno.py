@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from ..entangle import cut_entropy, entropy, schmidt
-from ..errors import ParameterError
 from ..evolve import apply_basis_change, apply_rotation, controlled_relabel
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
 from ..register import amplitude, fold_sum, new_register, superpose
@@ -28,17 +27,11 @@ from . import HADAMARD, ParamSpec, Scenario, guard
 _PI = math.pi
 
 
-def _resolve_cycles(alpha: float, cycles: int, cap: int) -> int:
+def _resolve_cycles(alpha: float, cycles: int) -> int:
     # cycles == 0 means: smallest count that walks the free rotation to at
-    # least a quarter turn, with a dust guard against x.9999... floats.
-    n = cycles if cycles > 0 else math.ceil(_PI / (2.0 * alpha) - 1e-9)
-    if n < 1:
-        raise ParameterError(f"cycle count {n} must be at least 1")
-    if n > cap:
-        raise ParameterError(
-            f"cycle count {n} exceeds the cap of {cap} (raise alpha or set cycles explicitly)"
-        )
-    return n
+    # least a quarter turn, with a dust guard against x.9999... floats. The
+    # schema bounds both: alpha's low bound keeps the derived count <= cycles' high.
+    return cycles if cycles > 0 else math.ceil(_PI / (2.0 * alpha) - 1e-9)
 
 
 def _cycle_labels(n: int) -> tuple[str, ...]:
@@ -48,7 +41,7 @@ def _cycle_labels(n: int) -> tuple[str, ...]:
 
 def _run_zeno_basic(params, seed):
     alpha = params["alpha"]
-    n = _resolve_cycles(alpha, params["cycles"], cap=127)
+    n = _resolve_cycles(alpha, params["cycles"])
     marks = _cycle_labels(n)
     reg = new_register([("photon", ("left", "right")), ("boom", ("none",) + marks)])
     state = superpose(reg, [(1.0, {"photon": "left", "boom": "none"})])
@@ -137,9 +130,8 @@ ZENO_BASIC = Scenario(
 
 
 def _run_zeno_counterfactual(params, seed):
-    name = "zeno_counterfactual"
     alpha = params["alpha"]
-    n = _resolve_cycles(alpha, params["cycles"], cap=63)
+    n = _resolve_cycles(alpha, params["cycles"])
     marks = _cycle_labels(n)
     reg = new_register(
         [
@@ -189,7 +181,7 @@ def _run_zeno_counterfactual(params, seed):
         )
     )
 
-    with guard(name, "silent photon still at its port"):
+    with guard("silent photon still at its port"):
         silent = postselect(state, {"photon": "left", "boom": "none"})
     bomb_dist = born_probabilities(silent.post_state, "bomb")
     p_blocking = bomb_dist.get("z_up", 0.0)
@@ -289,9 +281,8 @@ def _ghost_reference(alpha: float, n: int) -> dict:
 
 
 def _run_zeno_ghost(params, seed):
-    name = "zeno_ghost_entanglement"
     alpha = params["alpha"]
-    n = _resolve_cycles(alpha, params["cycles"], cap=200)
+    n = _resolve_cycles(alpha, params["cycles"])
     reg = new_register(
         [
             ("photon", ("middle", "left", "right")),
@@ -316,11 +307,11 @@ def _run_zeno_ghost(params, seed):
         state = apply_basis_change(state, "photon", HADAMARD, ("left", "right"))
         state = apply_rotation(state, "photon", ("middle", "left"), alpha)
         state = apply_basis_change(state, "photon", HADAMARD, ("left", "right"))
-        with guard(name, "no explosion on the left"):
+        with guard("no explosion on the left"):
             rec = postselect_out(state, {"photon": "left", "bombL": "z_up"})
         p_kept *= rec.probability
         state = rec.post_state
-        with guard(name, "no explosion on the right"):
+        with guard("no explosion on the right"):
             rec = postselect_out(state, {"photon": "right", "bombR": "z_up"})
         p_kept *= rec.probability
         state = rec.post_state
@@ -351,7 +342,7 @@ def _run_zeno_ghost(params, seed):
         )
     )
 
-    with guard(name, "photon found in the middle"):
+    with guard("photon found in the middle"):
         found = project(state, "photon", "middle")
     spectrum = schmidt(found.post_state, (("bombL",), ("bombR", "photon")))
     # A product state has a one-term spectrum: its second weight is zero.
@@ -391,7 +382,7 @@ def _run_zeno_ghost(params, seed):
         )
     )
 
-    with guard(name, "photon missing from the middle"):
+    with guard("photon missing from the middle"):
         missing = postselect_out(state, {"photon": "middle"})
     nf_entropy = cut_entropy(missing.post_state, ("bombL",))
     checks.append(

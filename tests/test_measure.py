@@ -374,7 +374,7 @@ def test_pointer_fidelities_match_read_pointer_then_fidelity(g, sigma):
         one_by_one = np.random.default_rng(seed)
         posts = [read_pointer(joint, one_by_one)[1] for _ in range(200)]
         batched = np.random.default_rng(seed)
-        assert pointer_fidelities(joint, ref, batched, 200) == [fidelity(p, ref) for p in posts]
+        assert pointer_fidelities(joint, ref, batched, 200).tolist() == [fidelity(p, ref) for p in posts]
         assert batched.bit_generator.state == one_by_one.bit_generator.state
         pruned += sum(p.support() == 1 for p in posts)
     if (g, sigma) == (50.0, 1.0):
@@ -412,7 +412,7 @@ def compare_pointer_batch_with_oracle(seed: int, shots: int = 30) -> collections
     seen = collections.Counter()
     for joint, ref, draw in pointer_oracle_cases(seed):
         ours, theirs = np.random.default_rng(draw), np.random.default_rng(draw)
-        got = pointer_fidelities(joint, ref, ours, shots)
+        got = pointer_fidelities(joint, ref, ours, shots).tolist()
         assert got == oracles.reference_pointer_fidelities(joint, ref, theirs, shots)
         assert ours.bit_generator.state == theirs.bit_generator.state
         for _ in range(3):
@@ -451,7 +451,7 @@ def test_pointer_batch_adds_many_branches_in_order_for_one_shot():
         reading, post = read_pointer(joint, ours)
         want_reading, want = oracles.reference_read_pointer(joint, theirs)
         assert reading == want_reading and repr(post.amplitudes) == repr(want.amplitudes)
-        assert pointer_fidelities(joint, ref, ours, 1) == oracles.reference_pointer_fidelities(joint, ref, theirs, 1)
+        assert pointer_fidelities(joint, ref, ours, 1).tolist() == oracles.reference_pointer_fidelities(joint, ref, theirs, 1)
 
 
 def test_pointer_batch_matches_the_scalar_oracle_at_numpy_baseline_simd():

@@ -212,6 +212,12 @@ INVALID = [
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "a"})]), 0),
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "a", "s": "z_up", "q": "a"})]), 0),
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "zz", "s": "z_up"})]), 0),
+    # an unhashable name or label cannot key a plan
+    (TypeError, lambda st: project(st, "m", ["a"]), 0),
+    (TypeError, lambda st: joint_probability(st, {"m": ["a"]}), 0),
+    (TypeError, lambda st: born_probabilities(st, ["m"]), 0),
+    (TypeError, lambda st: apply_rotation(st, "s", (["z_up"], "z_down"), 0.3), 0),
+    (TypeError, lambda st: superpose(st.register, [(1.0, {"s": "z_up", "m": ["a"]})]), 0),
 ]
 
 

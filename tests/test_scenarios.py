@@ -95,12 +95,14 @@ def test_scenario_rng_streams_are_name_scoped():
 
 def test_guard_wraps_impossible_outcomes():
     with pytest.raises(StepFailure) as excinfo:
-        with guard("demo", "projection step"):
+        with guard("projection step"):
             raise ImpossibleOutcomeError("zero weight")
     err = excinfo.value
-    assert err.scenario == "demo" and err.step == "projection step"
+    # run_scenario names the scenario; a bare guard leaves it unset
+    assert err.scenario is None and err.step == "projection step"
     assert "projection step" in str(err)
     assert isinstance(err.cause, ImpossibleOutcomeError)
+    assert err.__cause__ is err.cause
 
 
 def test_qo_core_frozen_numbers():
@@ -176,14 +178,19 @@ def test_zeno_basic_cosine_ladder():
     assert c["survival_amplitude"].sweep
 
 
-def test_zeno_basic_cycle_cap():
-    with pytest.raises(ParameterError):
-        run_scenario("zeno_basic", {"cycles": 128})
+@pytest.mark.parametrize("name", ["zeno_basic", "zeno_counterfactual", "zeno_ghost_entanglement"])
+def test_zeno_cycle_cap(name):
+    specs = {p.name: p for p in catalog()[name].params}
+    high, alpha = specs["cycles"].high, specs["alpha"].low
+    with pytest.raises(ParameterError, match="above allowed range"):
+        run_scenario(name, {"cycles": high + 1})
     # the alpha floor keeps the derived quarter-turn count at or under the cap
-    report = run_scenario("zeno_basic", {"alpha": 0.0124, "cycles": 0})
+    report = run_scenario(name, {"alpha": alpha, "cycles": 0})
     events = {k: v for step in report.steps for k, v in step.get("events", {}).items()}
-    assert events["cycles_run"] == 127.0
-    assert checks_by_name(report)["survival_probability"].actual > 0.97
+    assert events["cycles_run"] == math.ceil(math.pi / (2.0 * alpha) - 1e-9) <= high
+    if name == "zeno_basic":
+        assert events["cycles_run"] == 127.0
+        assert checks_by_name(report)["survival_probability"].actual > 0.97
 
 
 def test_zeno_counterfactual_inference_and_honest_failure_zone():

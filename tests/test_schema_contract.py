@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ketsim import ParameterError, run_scenario
+from ketsim import ImpossibleOutcomeError, ParameterError, run_scenario
 from ketsim.report import report_to_csv, report_to_json
 from ketsim.scenarios import StepFailure, catalog
 
@@ -87,8 +87,12 @@ def run_all():
 def test_a_pointer_too_wide_to_resolve_is_a_step_failure():
     # Its amplitudes fall below the 1e-15 prune floor, so a reading can
     # have no weight left; that is an impossible outcome of a named step.
-    with pytest.raises(StepFailure, match="gentle single shots"):
+    with pytest.raises(StepFailure, match="gentle single shots") as excinfo:
         run_scenario("weak_ensemble", {"sigma_single": 6.100974799973683e27})
+    # the catalog names the scenario; the cause is the outcome error itself
+    assert excinfo.value.scenario == "weak_ensemble"
+    assert isinstance(excinfo.value.__cause__, ImpossibleOutcomeError)
+    assert excinfo.value.__cause__ is excinfo.value.cause
 
 
 @pytest.mark.parametrize("name", ["sigma", "sigma_single"])
