@@ -3,10 +3,11 @@
 Every operation here acts as an exact unitary on the joint basis (splitters,
 in-place rotations, basis changes between label pairs, conditional label
 permutations, conditional phases). Operations optionally append their
-inverse to an OpLog, as the call that undoes them; time_reverse makes those
-calls in reverse order, so round trips are exact rather than numerically
-approximate. Nothing here reads a probability: a readout that runs a state
-through an operation first, such as recombine_probability, lives in measure.
+inverse to an OpLog, a plain list of the calls that undo them; time_reverse
+makes those calls in reverse order, so round trips are exact rather than
+numerically approximate. Nothing here reads a probability: a readout that
+runs a state through an operation first, such as recombine_probability,
+lives in measure.
 """
 
 from __future__ import annotations
@@ -21,22 +22,10 @@ Matrix2 = Sequence[Sequence[complex]]
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-class OpLog:
-    """Append-only record of operations applied during one scenario run.
-
-    Each entry is (inverse, args): inverse(state, *args) undoes the logged
-    operation. args hold their own copies of the caller's pairs and maps.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[Callable, tuple]] = []
-
-    def record(self, inverse: Callable, args: tuple) -> None:
-        self._entries.append((inverse, args))
-
-    @property
-    def entries(self) -> tuple[tuple[Callable, tuple], ...]:
-        return tuple(self._entries)
+# One scenario run's operations, in order: each entry is (inverse, args), and
+# inverse(state, *args) undoes the logged operation. args hold their own
+# copies of the caller's pairs and maps. OpLog() builds an empty log.
+OpLog = list[tuple[Callable, tuple]]
 
 
 def _label_columns(label_indices: Sequence[int], matrix: Sequence[Sequence[complex]]) -> dict:
@@ -120,7 +109,7 @@ def apply_split(
     si, columns = state.register.plan((_columns_plan, subsystem, (source_label, l1, l2), _SPLITTER))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        log.record(apply_split, (subsystem, source_label, (l1, l2)))  # self-inverse
+        log.append((apply_split, (subsystem, source_label, (l1, l2))))  # self-inverse
     return out
 
 
@@ -143,7 +132,7 @@ def apply_rotation(
     si, columns = state.register.plan((_columns_plan, subsystem, (la, lb), ((c, -s), (s, c))))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        log.record(apply_rotation, (subsystem, (la, lb), -alpha))
+        log.append((apply_rotation, (subsystem, (la, lb), -alpha)))
     return out
 
 
@@ -176,7 +165,7 @@ def apply_basis_change(
     si, columns = state.register.plan((_columns_plan, subsystem, labels, matrix))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        log.record(apply_basis_change, (subsystem, _dagger(m), tuple(pair), out_pair and tuple(out_pair)))
+        log.append((apply_basis_change, (subsystem, _dagger(m), tuple(pair), out_pair and tuple(out_pair))))
     return out
 
 
@@ -201,68 +190,56 @@ def controlled_relabel(
     pairs, keep the condition). The induced map must extend to a permutation
     of the joint basis: on the populated support, every target key must be
     either another source or unpopulated. Violations raise before any state
-    is built. An empty mapping is the identity.
+    is built. An empty mapping is the identity, logged like any other.
     """
     reg = state.register
     cond_items = reg.partial_items(condition)
-    if not mapping:
-        if log is not None:
-            log.record(controlled_relabel, (dict(condition), []))
-        return StateVector(reg, dict(state.amplitudes))
-
-    keysets = {frozenset(frm) for frm, _ in mapping}
-    if len(keysets) != 1:
-        raise ValueError("all mapping entries must address the same subsystems")
+    names = set(mapping[0][0]) if mapping else set()
     for frm, to in mapping:
-        if set(frm) != set(to):
+        if set(frm) != names:
+            raise ValueError("all mapping entries must address the same subsystems")
+        if set(to) != names:
             raise ValueError("from/to assignments must address the same subsystems")
-    if set(condition) & set(mapping[0][0]):
+    if names & set(condition):
         raise ValueError("condition keys must be disjoint from mapping keys")
 
-    pairs = []
-    seen_from = set()
+    # from-pattern items (sorted, so key order cannot hide a repeat) -> to items
+    pairs: dict[tuple, tuple] = {}
     for frm, to in mapping:
         fi = reg.partial_items(frm)
         ti = reg.partial_items(to)
         fkey = tuple(sorted(fi))
-        if fkey in seen_from:
+        if fkey in pairs:
             raise ValueError("duplicate from-assignment in mapping")
-        seen_from.add(fkey)
-        pairs.append((fi, ti))
+        pairs[fkey] = ti
 
     moves: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for key, _ in state.amplitudes.items():
+    for key in state.amplitudes:
         if not matches(key, cond_items):
             continue
-        hit = None
-        for fi, ti in pairs:
+        for fi, ti in pairs.items():
             if matches(key, fi):
-                hit = ti
+                nk = list(key)
+                for si, li in ti:
+                    nk[si] = li
+                moves[key] = tuple(nk)
                 break
-        if hit is None:
-            continue
-        nk = list(key)
-        for si, li in hit:
-            nk[si] = li
-        moves[key] = tuple(nk)
 
-    sources = set(moves)
-    targets = list(moves.values())
-    if len(set(targets)) != len(targets):
+    if len(set(moves.values())) != len(moves):
         raise ValueError("mapping is not a permutation: two branches collide on one target")
-    for t in targets:
-        if t not in sources and t in state.amplitudes:
+    for t in moves.values():
+        if t not in moves and t in state.amplitudes:
             raise ValueError(
                 "mapping is not a permutation: target "
                 f"{reg.assignment(t)} is already populated and is not itself relabeled"
             )
 
-    new_amps = {k: a for k, a in state.amplitudes.items() if k not in sources}
+    new_amps = {k: a for k, a in state.amplitudes.items() if k not in moves}
     for src, dst in moves.items():
         new_amps[dst] = state.amplitudes[src]
     if log is not None:
         # the inverse keeps the condition and flips the pairs
-        log.record(controlled_relabel, (dict(condition), [(dict(to), dict(frm)) for frm, to in mapping]))
+        log.append((controlled_relabel, (dict(condition), [(dict(to), dict(frm)) for frm, to in mapping])))
     return StateVector(reg, new_amps)
 
 
@@ -282,7 +259,7 @@ def controlled_phase(
         k: (a * phase if matches(k, cond_items) else a) for k, a in state.amplitudes.items()
     }
     if log is not None:
-        log.record(controlled_phase, (dict(condition), -phi))
+        log.append((controlled_phase, (dict(condition), -phi)))
     return StateVector(reg, new_amps)
 
 
@@ -295,7 +272,7 @@ def time_reverse(state: StateVector, log: OpLog) -> StateVector:
     pairs, phases flip sign.
     """
     out = state
-    for inverse, args in reversed(log.entries):
+    for inverse, args in reversed(log):
         out = inverse(out, *args)
     return out
 

@@ -42,7 +42,7 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,7 +181,7 @@ class GridWavefunction:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
-    @cached_property
+    @property
     def xs(self) -> np.ndarray:
         """Sample positions: shared by the geometry and read-only; copy before writing."""
         return grid_xs(self.n, self.x_min, self.x_max)

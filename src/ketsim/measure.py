@@ -29,13 +29,6 @@ from .register import (
 )
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an integer seed or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class MeasurementRecord:
     """One readout: which outcome occurred, how likely it was, what remains.
@@ -125,9 +118,7 @@ def _conditioned(
 
 def project(state: StateVector, subsystem: str, label: str) -> MeasurementRecord:
     """Projective readout of one subsystem onto one label."""
-    outcome = {subsystem: label}
-    prob, post = _conditioned(state, outcome, True)
-    return MeasurementRecord(outcome, prob, post)
+    return postselect(state, {subsystem: label})
 
 
 def postselect(state: StateVector, assignments: Mapping[str, str]) -> MeasurementRecord:
@@ -331,6 +322,7 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     pointer barely disturbs the system; ensemble means of readings divided by
     g recover the observable's expectation value. This is one shot of
     _collapse_shots, the conditioning rule that pointer_fidelities batches.
+    `seed`: anything numpy.random.default_rng takes (a Generator is used as is).
     """
     (j,), kept, re, im = _collapse_shots(joint, seed, 1)
     post = {
@@ -348,9 +340,10 @@ def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
     do and returns the same readings; use it when only the readings matter.
     The draw is _draw_indices': one uniform per shot, the uniforms located
     in the cdf in sorted order and each index put back at its shot.
+    `seed`: anything numpy.random.default_rng takes, as for read_pointer.
     """
     cdf, xs = joint._sampler
-    return xs[_draw_indices(cdf, as_generator(seed).random(shots))]
+    return xs[_draw_indices(cdf, np.random.default_rng(seed).random(shots))]
 
 
 def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> np.ndarray:
@@ -362,7 +355,7 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
     _collapse_shots batch, and each overlap adds its terms in
     amplitude_overlap's order: the post state's keys, in joint order. A pruned
     branch's term is masked to zero and a key absent from `state` gives zero:
-    a zero moves no magnitude.
+    a zero moves no magnitude. `seed`: anything numpy.random.default_rng takes.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
@@ -418,7 +411,7 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     amplitudes underflow to zero, and names the first such reading.
     """
     cdf, xs = joint._sampler
-    js = _draw_indices(cdf, as_generator(seed).random(shots))
+    js = _draw_indices(cdf, np.random.default_rng(seed).random(shots))
     column = joint.pointers[:, js]
     re, im = column.real, column.imag
     mag = np.hypot(re, im)

@@ -172,16 +172,9 @@ def _full_key(reg: Register, items: tuple) -> tuple[int, ...]:
     return tuple(reg.label_index(n, assignment[n]) for n in reg.names)
 
 
-def new_register(specs: Iterable[SubsystemSpec | tuple[str, Sequence[str]]]) -> Register:
-    """Build a register from SubsystemSpec values or (name, labels) pairs."""
-    built = []
-    for s in specs:
-        if isinstance(s, SubsystemSpec):
-            built.append(s)
-        else:
-            name, labels = s
-            built.append(SubsystemSpec(name, labels))
-    return Register(built)
+def new_register(specs: Iterable[tuple[str, Sequence[str]]]) -> Register:
+    """Build a register from (name, labels) pairs; Register takes SubsystemSpec values."""
+    return Register([SubsystemSpec(name, labels) for name, labels in specs])
 
 
 def fold_sum(terms):

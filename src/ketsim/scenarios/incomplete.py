@@ -164,7 +164,7 @@ def _run_weak_ensemble(params, seed):
     singles = params["singles"]
     sigma_single = params["sigma_single"]
     sigma_strong = params["sigma_strong"]
-    rng = scenario_rng("weak_ensemble", seed)
+    rng = scenario_rng(WEAK_ENSEMBLE.name, seed)
     reg = new_register([("spin", ("up", "down"))])
     state = superpose(reg, [(1.0, {"spin": "up"}), (1.0, {"spin": "down"})])
     steps = [make_step("balanced preparation", state)]

@@ -215,10 +215,8 @@ def reference_dumps_json(obj) -> str:
 def _ref_shots(joint, seed, shots: int):
     """(reading, column) for each of `shots` successive pointer draws, where
     column holds each key's pointer amplitude at the drawn position."""
-    from ketsim.measure import as_generator
-
     cdf, xs = joint._sampler
-    js = cdf.searchsorted(as_generator(seed).random(shots), side="right")
+    js = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers)))
 
 

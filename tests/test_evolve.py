@@ -179,9 +179,39 @@ def test_controlled_relabel_validation():
 
 def test_controlled_relabel_empty_mapping_is_identity():
     reg = path_register()
-    state = superpose(reg, [(1.0, {"p": "l1", "spin": "up"})])
-    out = controlled_relabel(state, {"spin": "up"}, [])
+    state = superpose(reg, [(1.0, {"p": "l1", "spin": "up"}), (1.0, {"p": "l2", "spin": "down"})])
+    log = OpLog()
+    out = controlled_relabel(state, {"spin": "up"}, [], log=log)
     assert fidelity(out, state) == pytest.approx(1.0, abs=1e-15)
+    assert list(out.amplitudes.items()) == list(state.amplitudes.items())
+    assert out.amplitudes is not state.amplitudes
+    assert log == [(controlled_relabel, ({"spin": "up"}, []))]
+    assert list(time_reverse(out, log).amplitudes.items()) == list(state.amplitudes.items())
+
+
+def test_controlled_relabel_refuses_one_from_assignment_in_two_key_orders():
+    reg = path_register()
+    state = superpose(reg, [(1.0, {"p": "l1", "spin": "up"})])
+    mapping = [
+        ({"p": "l1", "spin": "up"}, {"p": "l2", "spin": "up"}),
+        ({"spin": "up", "p": "l1"}, {"p": "src", "spin": "down"}),
+    ]
+    with pytest.raises(ValueError, match="duplicate from-assignment"):
+        controlled_relabel(state, {}, mapping)
+
+
+def test_an_oplog_is_a_plain_list():
+    assert OpLog() == []
+    reg = path_register()
+    state = superpose(reg, [(1.0, {"p": "src", "spin": "up"}), (1.0, {"p": "l1", "spin": "down"})])
+    logs = (OpLog(), [])
+    for log in logs:
+        out = apply_split(state, "p", "src", ("l1", "l2"), log=log)
+        out = controlled_relabel(out, {"spin": "up"}, [({"p": "l1"}, {"p": "l2"}), ({"p": "l2"}, {"p": "l1"})], log=log)
+        controlled_phase(out, {"p": "l1"}, 0.3, log=log)
+    assert len(logs[0]) == 3
+    assert logs[0] == logs[1]
+    assert list(time_reverse(state, []).amplitudes.items()) == list(state.amplitudes.items())
 
 
 def test_controlled_relabel_cycle():

@@ -306,6 +306,14 @@ def test_read_pointer_seed_determinism():
     assert fidelity(p1, p2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_read_pointer_takes_an_int_seed_or_the_generator_it_makes():
+    joint = balanced_joint()
+    r1, p1 = read_pointer(joint, 7)
+    r2, p2 = read_pointer(joint, np.random.default_rng(7))
+    assert r1 == r2
+    assert list(p1.amplitudes.items()) == list(p2.amplitudes.items())
+
+
 def test_narrow_pointer_collapses_system():
     reg = spin_register()
     state = superpose(reg, [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
