@@ -55,10 +55,6 @@ def _apply_columns(state: StateVector, sub_index: int, columns: dict) -> StateVe
     return StateVector(state.register, prune(new_amps))
 
 
-def _complex_2x2(u: Matrix2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    return ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
-
-
 def _columns_plan(reg: Register, subsystem: str, labels: tuple, matrix: tuple) -> tuple:
     """Plan of a unitary on distinct labels of one subsystem: (subsystem
     index, label columns).
@@ -153,27 +149,20 @@ def apply_basis_change(
     matrix. Both forms are exactly unitary; the inverse is u† on the same
     pairs.
     """
-    m = _complex_2x2(u)
+    (p, q), (r, t) = m = ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
     a1, a2 = pair
     if out_pair is None:
         labels, matrix = (a1, a2), m
     else:
         b1, b2 = out_pair
-        (p, q), (r, t) = m
         z = 0j
         labels, matrix = (a1, a2, b1, b2), ((z, z, p, q), (z, z, r, t), (p, q, z, z), (r, t, z, z))
     si, columns = state.register.plan((_columns_plan, subsystem, labels, matrix))
     out = _apply_columns(state, si, columns)
     if log is not None:
-        log.append((apply_basis_change, (subsystem, _dagger(m), tuple(pair), out_pair and tuple(out_pair))))
+        dagger = ((p.conjugate(), r.conjugate()), (q.conjugate(), t.conjugate()))
+        log.append((apply_basis_change, (subsystem, dagger, tuple(pair), out_pair and tuple(out_pair))))
     return out
-
-
-def _dagger(m: Matrix2) -> tuple:
-    return (
-        (complex(m[0][0]).conjugate(), complex(m[1][0]).conjugate()),
-        (complex(m[0][1]).conjugate(), complex(m[1][1]).conjugate()),
-    )
 
 
 def controlled_relabel(

@@ -79,12 +79,8 @@ def _pin_heap_thresholds() -> None:
 _pin_heap_thresholds()
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
-
-
 def _check_geometry(n: int, x_min: float, x_max: float) -> None:
-    if not _is_power_of_two(n):
+    if not (n >= 2 and (n & (n - 1)) == 0):
         raise ParameterError(f"sample count must be a power of two, got {n}")
     if not x_max > x_min:
         raise ParameterError("x_max must exceed x_min")
@@ -200,9 +196,6 @@ class GridWavefunction:
         # keeps a real wavefunction real.
         return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes * (1.0 / self._norm()))
 
-    def density(self) -> np.ndarray:
-        return _density(self.amplitudes)
-
 
 def _owned_normalized(n: int, x_min: float, x_max: float, amps: np.ndarray) -> GridWavefunction:
     """normalized() for amplitudes the caller owns: scales them in place."""
@@ -298,7 +291,7 @@ def moments(arg) -> tuple[float, float]:
     """(mean, std) of position for a wavefunction, or of a (grid, probs) pair."""
     if isinstance(arg, GridWavefunction):
         grid = arg.xs
-        weights = arg.density()
+        weights = _density(arg.amplitudes)
         weights *= arg.dx
     else:
         grid, weights = arg

@@ -54,15 +54,10 @@ class MeasurementRecord:
             raise ValueError(f"post state norm {n!r} is not 1 within {NORM_TOL}")
 
 
-def _labels_of(reg: Register, subsystem: str) -> tuple[int, tuple[str, ...]]:
-    """(subsystem index, its labels)."""
-    si = reg.index(subsystem)
-    return si, reg.subsystems[si].labels
-
-
 def born_probabilities(state: StateVector, subsystem: str) -> dict[str, float]:
     """Marginal outcome distribution of one subsystem (zero entries dropped)."""
-    si, labels = state.register.plan((_labels_of, subsystem))
+    si = state.register.index(subsystem)
+    labels = state.register.subsystems[si].labels
     acc = [0.0] * len(labels)
     for key, amp in state.amplitudes.items():
         acc[key[si]] += abs(amp) ** 2
@@ -142,36 +137,28 @@ def postselect_out(state: StateVector, assignments: Mapping[str, str]) -> Measur
     return MeasurementRecord(dict(assignments), prob, post, negated=True)
 
 
-def _partial_image(
-    state: StateVector, subsystem: str, monitored_label: str, eps: float, outcome: str
-) -> dict:
-    """Unnormalized image of one partial-readout outcome.
-
-    Click operator: sqrt(eps) * P_monitored. No-click operator:
-    P_rest + sqrt(1-eps) * P_monitored. Their squares sum to the identity.
-    """
-    ((si, mi),) = state.register.partial_items({subsystem: monitored_label})
-    if outcome == "click":
-        s = math.sqrt(eps)
-        return {k: s * a for k, a in state.amplitudes.items() if k[si] == mi}
-    if outcome == "no-click":
-        s = math.sqrt(1.0 - eps)
-        return {k: s * a if k[si] == mi else a for k, a in state.amplitudes.items()}
-    raise ParameterError(f"outcome must be 'click' or 'no-click', got {outcome!r}")
-
-
 def apply_partial_outcome(
     state: StateVector, subsystem: str, monitored_label: str, eps: float, outcome: str
 ) -> MeasurementRecord:
     """Deterministically apply one partial-readout outcome ('click'/'no-click').
 
     eps is the coupling fraction: the detector sees only that portion of the
-    monitored branch; eps=1 is projective, eps=0 is off.
+    monitored branch; eps=1 is projective, eps=0 is off. Click operator:
+    sqrt(eps) * P_monitored. No-click operator: P_rest + sqrt(1-eps) *
+    P_monitored. Their squares sum to the identity.
     """
     eps = float(eps)
     if not (0.0 <= eps <= 1.0):
         raise ParameterError(f"eps must lie in [0, 1], got {eps!r}")
-    image = _partial_image(state, subsystem, monitored_label, eps, outcome)
+    ((si, mi),) = state.register.partial_items({subsystem: monitored_label})
+    if outcome == "click":
+        s = math.sqrt(eps)
+        image = {k: s * a for k, a in state.amplitudes.items() if k[si] == mi}
+    elif outcome == "no-click":
+        s = math.sqrt(1.0 - eps)
+        image = {k: s * a if k[si] == mi else a for k, a in state.amplitudes.items()}
+    else:
+        raise ParameterError(f"outcome must be 'click' or 'no-click', got {outcome!r}")
     p, post = _condition(state.register, image, lambda: f"partial outcome {outcome!r}")
     return MeasurementRecord({subsystem: outcome}, p, post)
 

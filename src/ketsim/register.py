@@ -216,9 +216,6 @@ class StateVector:
             raise ValueError("cannot normalize a zero state")
         return StateVector(self.register, {k: a / n for k, a in self.amplitudes.items()})
 
-    def amplitude(self, assignment: Mapping[str, str]) -> complex:
-        return self.amplitudes.get(self.register.key(assignment), 0j)
-
     def support(self) -> int:
         return len(self.amplitudes)
 
@@ -256,7 +253,7 @@ def superpose(
 
 def amplitude(state: StateVector, assignment: Mapping[str, str]) -> complex:
     """Amplitude of one fully specified joint basis state (0 if absent)."""
-    return state.amplitude(assignment)
+    return state.amplitudes.get(state.register.key(assignment), 0j)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

@@ -129,19 +129,6 @@ def list_scenarios() -> list[tuple[str, dict, str]]:
     ]
 
 
-def resolve_params(scenario: Scenario, overrides: Mapping | None) -> dict:
-    overrides = dict(overrides or {})
-    known = {p.name for p in scenario.params}
-    for key in overrides:
-        if key not in known:
-            raise ParameterError(f"scenario {scenario.name!r} has no parameter {key!r}")
-    resolved = {}
-    for p in scenario.params:
-        raw = overrides.get(p.name, p.default)
-        resolved[p.name] = p.coerce(raw)
-    return resolved
-
-
 def run_scenario(name: str, params: Mapping | None = None, seed: int = 0) -> ScenarioReport:
     """Validate parameters, run the named scenario, return its report."""
     try:
@@ -154,7 +141,12 @@ def run_scenario(name: str, params: Mapping | None = None, seed: int = 0) -> Sce
         pass
     if type(seed) is not int or seed < 0:
         raise ParameterError(f"seed expects a non-negative integer, got {seed!r}")
-    resolved = resolve_params(scenario, params)
+    params = dict(params or {})
+    known = {p.name for p in scenario.params}
+    for key in params:
+        if key not in known:
+            raise ParameterError(f"scenario {name!r} has no parameter {key!r}")
+    resolved = {p.name: p.coerce(params.get(p.name, p.default)) for p in scenario.params}
     try:
         steps, checks, notes = scenario.run(resolved, seed)
     except StepFailure as exc:

@@ -26,18 +26,6 @@ LAMBDA_MINOR = (3.0 - _SQRT5) / 6.0
 THREE_BRANCH_ENTROPY = -(LAMBDA_MAJOR * math.log2(LAMBDA_MAJOR) + LAMBDA_MINOR * math.log2(LAMBDA_MINOR))
 
 
-def _pair_register():
-    return new_register(
-        [
-            ("electron", ("src", "arm1", "arm2", "ann")),
-            ("positron", ("src", "arm3", "arm4", "ann")),
-            ("photons", ("none", "pair_t1", "pair_t2")),
-            ("det1", ("ready", "click")),
-            ("det2", ("ready", "click")),
-        ]
-    )
-
-
 def _annihilation_window(state, electron_arm, pair, det):
     """The electron arm meets positron arm3: the pair annihilates into photon
     label `pair`, and detector `det` clicks on it."""
@@ -63,7 +51,15 @@ def _qo_unitaries(state):
 
 
 def _run_qo_core(params, seed):
-    reg = _pair_register()
+    reg = new_register(
+        [
+            ("electron", ("src", "arm1", "arm2", "ann")),
+            ("positron", ("src", "arm3", "arm4", "ann")),
+            ("photons", ("none", "pair_t1", "pair_t2")),
+            ("det1", ("ready", "click")),
+            ("det2", ("ready", "click")),
+        ]
+    )
     idle = {"photons": "none", "det1": "ready", "det2": "ready"}
     state = superpose(reg, [(1.0, {"electron": "src", "positron": "src", **idle})])
     steps = [make_step("sources ready", state)]
@@ -163,16 +159,14 @@ def _run_qo_core(params, seed):
     checks.append(Check("deferred_joint_silent", "abs", 0.5, joint_silent, 1e-12, "one-shot joint-Born oracle"))
     with guard("deferred conditioning"):
         deferred = postselect(oneshot, {"det1": "ready", "det2": "ready"})
+    f_deferred = fidelity(deferred.post_state, state)
     checks.append(
-        Check(
-            "deferred_state_match", "abs", 1.0, fidelity(deferred.post_state, state), 1e-12,
-            "projection-order cross-check",
-        )
+        Check("deferred_state_match", "abs", 1.0, f_deferred, 1e-12, "projection-order cross-check")
     )
     steps.append(
         make_step(
             "deferred-measurement cross-check",
-            events={"joint_silent": joint_silent, "fidelity_vs_sequential": fidelity(deferred.post_state, state)},
+            events={"joint_silent": joint_silent, "fidelity_vs_sequential": f_deferred},
         )
     )
 
@@ -251,16 +245,12 @@ def _run_hardy_ci(params, seed):
     )
     with guard("conditioning on electron arm2"):
         cond_e2 = project(state, "electron", "arm2").post_state
-    checks.append(
-        Check("p_arm4_given_arm2", "abs", 1.0, born_probabilities(cond_e2, "positron").get("arm4", 0.0), 1e-12,
-              "joint-Born oracle")
-    )
+    p_arm4_given_arm2 = born_probabilities(cond_e2, "positron").get("arm4", 0.0)
+    checks.append(Check("p_arm4_given_arm2", "abs", 1.0, p_arm4_given_arm2, 1e-12, "joint-Born oracle"))
     with guard("conditioning on positron arm3"):
         cond_p3 = project(state, "positron", "arm3").post_state
-    checks.append(
-        Check("p_arm1_given_arm3", "abs", 1.0, born_probabilities(cond_p3, "electron").get("arm1", 0.0), 1e-12,
-              "joint-Born oracle")
-    )
+    p_arm1_given_arm3 = born_probabilities(cond_p3, "electron").get("arm1", 0.0)
+    checks.append(Check("p_arm1_given_arm3", "abs", 1.0, p_arm1_given_arm3, 1e-12, "joint-Born oracle"))
     checks.append(Check("schmidt_major", "abs", LAMBDA_MAJOR, spectrum.coefficients[0], 1e-12, "dense-SVD oracle"))
     checks.append(Check("schmidt_minor", "abs", LAMBDA_MINOR, spectrum.coefficients[1], 1e-12, "dense-SVD oracle"))
     checks.append(Check("entropy_bits", "abs", THREE_BRANCH_ENTROPY, s_bits, 1e-12, "dense-eigendecomposition oracle"))
@@ -268,10 +258,7 @@ def _run_hardy_ci(params, seed):
         make_step(
             "surviving branches",
             state,
-            events={
-                "p_arm4_given_arm2": born_probabilities(cond_e2, "positron").get("arm4", 0.0),
-                "p_arm1_given_arm3": born_probabilities(cond_p3, "electron").get("arm1", 0.0),
-            },
+            events={"p_arm4_given_arm2": p_arm4_given_arm2, "p_arm1_given_arm3": p_arm1_given_arm3},
             entropies={"electron|rest": s_bits},
         )
     )

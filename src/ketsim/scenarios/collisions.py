@@ -225,9 +225,8 @@ def _run_oblivion_with_pointers(params, seed):
     steps.append(make_step("collided subspace", collided.post_state,
                            events={"p_collided": collided.probability}))
 
-    rev_before = time_reverse(state, log)
-    checks.append(Check("reversal_before_readout", "abs", 1.0, fidelity(rev_before, initial), 1e-10,
-                        "logged-inverse oracle"))
+    f_before = fidelity(time_reverse(state, log), initial)
+    checks.append(Check("reversal_before_readout", "abs", 1.0, f_before, 1e-10, "logged-inverse oracle"))
 
     # Pointer readout.
     p_quiet = joint_probability(state, {"ptr1": "idle", "ptr2": "idle"})
@@ -269,17 +268,10 @@ def _run_oblivion_with_pointers(params, seed):
         )
     )
 
-    rev_after = time_reverse(quiet.post_state, log)
-    checks.append(Check("reversal_after_readout", "abs", 0.5, fidelity(rev_after, initial), 1e-10,
-                        "logged-inverse oracle"))
+    f_after = fidelity(time_reverse(quiet.post_state, log), initial)
+    checks.append(Check("reversal_after_readout", "abs", 0.5, f_after, 1e-10, "logged-inverse oracle"))
     steps.append(
-        make_step(
-            "time reversal",
-            events={
-                "fidelity_before_readout": fidelity(rev_before, initial),
-                "fidelity_after_readout": fidelity(rev_after, initial),
-            },
-        )
+        make_step("time reversal", events={"fidelity_before_readout": f_before, "fidelity_after_readout": f_after})
     )
 
     notes = (

@@ -69,7 +69,8 @@ def _run_partial_erasure(params, seed):
             count += 1
             if count > _MAX_WALK_STEPS:
                 raise ParameterError("null-result walk does not reach the target")
-    p_up = born_probabilities(state, "spin").get("up", 0.0)
+    spin_dist = born_probabilities(state, "spin")
+    p_up = spin_dist.get("up", 0.0)
     qk = q**count
     checks.append(
         Check("iterations_to_target", "abs", float(k_expected), float(count), 0.0,
@@ -83,7 +84,7 @@ def _run_partial_erasure(params, seed):
         make_step(
             "null-result walk",
             state,
-            distribution=("spin", born_probabilities(state, "spin")),
+            distribution=("spin", spin_dist),
             events={"iterations": float(count), "p_up": p_up},
         )
     )
@@ -238,8 +239,10 @@ WEAK_ENSEMBLE = Scenario(
         ParamSpec("n_shots", "int", 10000, low=100, high=200000, doc="ensemble size"),
         ParamSpec("singles", "int", 200, low=10, high=5000, doc="single-shot fidelity samples"),
         ParamSpec("sigma_single", "float", 20.0, low=5.0, high=1e150,
-                  doc="pointer width for the gentleness run; at most 1e150, so the pointer "
-                  "Gaussian's square stays finite on its +-10 sigma grid (it overflows above 1.34e153)"),
+                  doc="pointer width for the gentleness run; at most 1e150, so the pointer Gaussian's square "
+                  "stays finite on its +-10 sigma grid (it overflows above 1.34e153); from about 6e27 up its "
+                  "amplitudes fall below the 1e-15 prune floor, and a run can end in a StepFailure at "
+                  "'gentle single shots' (exit 3)"),
         ParamSpec("sigma_strong", "float", 0.1, low=0.01, high=1.0, doc="pointer width for the strong limit"),
     ),
     _run_weak_ensemble,

@@ -119,14 +119,10 @@ QUANTUM_ERASURE = Scenario(
 )
 
 
-def _ring_labels(d: int) -> tuple[str, ...]:
-    return tuple(f"w{i}" for i in range(d))
-
-
 def _run_ab_toy(params, seed):
     d = params["d"]
     phi = params["phi"]
-    labels = _ring_labels(d)
+    labels = tuple(f"w{i}" for i in range(d))
     reg = new_register([("charge", ("src", "path_a", "path_b")), ("ring", labels)])
     state = superpose(reg, [(1.0, {"charge": "src", "ring": "w0"})])
     steps = [make_step("charge staged", state)]

@@ -67,7 +67,7 @@ def _run_zeno_basic(params, seed):
         )
 
     amp = abs(amplitude(state, {"photon": "left", "boom": "none"}))
-    p_survive = joint_probability(state, {"photon": "left", "boom": "none"})
+    p_survive = p_k  # the last cycle's survival weight
     checks.append(
         Check("survival_amplitude", "abs", math.cos(alpha) ** n, amp, 1e-10, "cosine-product oracle")
     )

@@ -268,6 +268,23 @@ def test_logged_circuit_time_reverses_exactly(seed, depth):
     assert np.allclose(oracles.dense_vector(back), oracles.dense_vector(state), atol=1e-9)
 
 
+@pytest.mark.parametrize("out_pair", [None, ("x_plus", "x_minus")])
+def test_logged_complex_basis_change_time_reverses_to_the_original_amplitudes(out_pair):
+    """u is complex and not symmetric, so neither u, its transpose nor its
+    conjugate undoes it: only u† does."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    u = (
+        (c * complex(math.cos(0.3), math.sin(0.3)), -s * complex(math.cos(1.1), math.sin(1.1))),
+        (s * complex(math.cos(-0.5), math.sin(-0.5)), c * complex(math.cos(0.3), math.sin(0.3))),
+    )
+    state = oracles.random_state(spin4_register(), np.random.default_rng(5))
+    log = OpLog()
+    out = apply_basis_change(state, "s", u, ("z_up", "z_down"), out_pair=out_pair, log=log)
+    assert not np.allclose(oracles.dense_vector(out), oracles.dense_vector(state), atol=1e-3)
+    back = time_reverse(out, log)
+    assert np.allclose(oracles.dense_vector(back), oracles.dense_vector(state), rtol=0, atol=1e-12)
+
+
 def test_time_reverse_keeps_its_own_copy_of_the_callers_arguments():
     reg = new_register([("p", ("src", "l1", "l2", "l3")), ("d", ("q", "r"))])
     state = oracles.random_state(reg, np.random.default_rng(3))

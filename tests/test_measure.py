@@ -57,6 +57,8 @@ def test_born_probabilities_match_dense_marginal():
         for i, lab in enumerate(labels):
             assert dist.get(lab, 0.0) == pytest.approx(float(want[i]), abs=1e-12)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+    with pytest.raises(ValueError, match="^unknown subsystem 'nope'$"):
+        born_probabilities(state, "nope")
 
 
 def test_joint_probability_matches_dense():
