@@ -149,6 +149,9 @@ def apply_basis_change(
     matrix. Both forms are exactly unitary; the inverse is u† on the same
     pairs.
     """
+    rows = [len(row) for row in u]
+    if rows != [2, 2]:
+        raise ValueError(f"u must be a 2x2 matrix, got rows of lengths {rows}")
     (p, q), (r, t) = m = ((complex(u[0][0]), complex(u[0][1])), (complex(u[1][0]), complex(u[1][1])))
     a1, a2 = pair
     if out_pair is None:

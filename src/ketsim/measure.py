@@ -276,6 +276,9 @@ def weak_measure(
     reg = state.register
     si = reg.index(subsystem)
     spec = reg.spec(subsystem)
+    unknown = [k for k in observable if k not in spec.labels]
+    if unknown:
+        raise ParameterError(f"observable names labels {unknown} that subsystem {subsystem!r} does not have")
     shifts: dict[int, float] = {}
     for key in state.amplitudes:
         li = key[si]

@@ -180,11 +180,12 @@ def new_register(specs: Iterable[tuple[str, Sequence[str]]]) -> Register:
 def fold_sum(terms):
     """Add terms left to right: Python 3.11's builtin sum, bit for bit.
 
-    Every float or complex reduction in ketsim goes through here, because
-    builtin sum compensates float rounding from Python 3.12 on and would move
-    the last digit of some reports; only the means of a pointer array (the
-    readings' and the single-shot fidelities') take np.cumsum's last entry,
-    which adds in the same order. No terms give int 0, as sum() does.
+    Every Python-level float or complex reduction in ketsim goes through
+    here, because builtin sum compensates float rounding from Python 3.12 on
+    and would move the last digit of some reports; the means of a pointer
+    array (the readings' and the single-shot fidelities') take np.cumsum's
+    last entry, which adds in the same order, and grid reductions use
+    numpy's pairwise np.sum. No terms give int 0, as sum() does.
     """
     return reduce(add, terms, 0)
 

@@ -155,10 +155,10 @@ def _run_qo_core(params, seed):
     # and condition once at the end. Outcome statistics and the conditioned
     # state must match the step-by-step story exactly.
     oneshot = _qo_unitaries(superpose(reg, [(1.0, {"electron": "src", "positron": "src", **idle})]))
-    joint_silent = joint_probability(oneshot, {"det1": "ready", "det2": "ready"})
-    checks.append(Check("deferred_joint_silent", "abs", 0.5, joint_silent, 1e-12, "one-shot joint-Born oracle"))
     with guard("deferred conditioning"):
         deferred = postselect(oneshot, {"det1": "ready", "det2": "ready"})
+    joint_silent = deferred.probability
+    checks.append(Check("deferred_joint_silent", "abs", 0.5, joint_silent, 1e-12, "one-shot joint-Born oracle"))
     f_deferred = fidelity(deferred.post_state, state)
     checks.append(
         Check("deferred_state_match", "abs", 1.0, f_deferred, 1e-12, "projection-order cross-check")

@@ -229,19 +229,17 @@ def _run_oblivion_with_pointers(params, seed):
     checks.append(Check("reversal_before_readout", "abs", 1.0, f_before, 1e-10, "logged-inverse oracle"))
 
     # Pointer readout.
-    p_quiet = joint_probability(state, {"ptr1": "idle", "ptr2": "idle"})
-    p_kick1 = joint_probability(state, {"ptr1": "kick", "ptr2": "idle"})
-    p_kick2 = joint_probability(state, {"ptr1": "idle", "ptr2": "kick"})
-    checks.append(Check("p_quiet", "abs", 0.5, p_quiet, 1e-12, "joint-Born oracle"))
-    checks.append(Check("p_kick_t1", "abs", 0.25, p_kick1, 1e-12, "joint-Born oracle"))
-    checks.append(Check("p_kick_t2", "abs", 0.25, p_kick2, 1e-12, "joint-Born oracle"))
-
     with guard("quiet readout"):
         quiet = postselect(state, {"ptr1": "idle", "ptr2": "idle"})
     with guard("first-pointer kick"):
         kick1 = postselect(state, {"ptr1": "kick", "ptr2": "idle"})
     with guard("second-pointer kick"):
         kick2 = postselect(state, {"ptr1": "idle", "ptr2": "kick"})
+    p_quiet, p_kick1, p_kick2 = quiet.probability, kick1.probability, kick2.probability
+    checks.append(Check("p_quiet", "abs", 0.5, p_quiet, 1e-12, "joint-Born oracle"))
+    checks.append(Check("p_kick_t1", "abs", 0.25, p_kick1, 1e-12, "joint-Born oracle"))
+    checks.append(Check("p_kick_t2", "abs", 0.25, p_kick2, 1e-12, "joint-Born oracle"))
+
     r_quiet = recombine_probability(quiet.post_state, "atom1", ("arm1d", "arm2d"), "src")
     r_kick1 = recombine_probability(kick1.post_state, "atom1", ("arm1d", "arm2d"), "src")
     r_kick2 = recombine_probability(kick2.post_state, "atom1", ("arm1d", "arm2d"), "src")

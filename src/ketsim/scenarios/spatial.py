@@ -42,7 +42,7 @@ _AUTO_EPS_SLOPE = 0.43
 
 
 def _overlap_sq(a, b) -> float:
-    return abs(np.vdot(a.amplitudes, b.amplitudes) * a.dx) ** 2
+    return abs(np.sum(a.amplitudes.conj() * b.amplitudes) * a.dx) ** 2
 
 
 def _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps):

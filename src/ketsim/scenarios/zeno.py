@@ -7,20 +7,18 @@ superposition turns the photon's silence into information about the
 monitor, and two monitors in superposition end up entangled with each
 other through a photon that was never found anywhere else.
 
-Expected values are closed-form cosine products, branch-amplitude algebra,
-or a dense 3-vector matrix iteration run alongside the sparse engine.
+Expected values are closed-form cosine products and branch-amplitude
+algebra in plain floats, computed apart from the sparse engine.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..entangle import cut_entropy, entropy, schmidt
 from ..evolve import apply_basis_change, apply_rotation, controlled_relabel
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project
-from ..register import amplitude, fold_sum, new_register, superpose
+from ..register import amplitude, new_register, superpose
 from ..report import Check, make_step
 from . import HADAMARD, ParamSpec, Scenario, guard
 
@@ -161,9 +159,10 @@ def _run_zeno_counterfactual(params, seed):
     c_n = math.cos(alpha) ** n
     c_free = math.cos(n * alpha)
     p_silent_left = 0.5 * (c_n * c_n + c_free * c_free)
-    actual_silent_left = joint_probability(state, {"photon": "left", "boom": "none"})
+    with guard("silent photon still at its port"):
+        silent = postselect(state, {"photon": "left", "boom": "none"})
     checks.append(
-        Check("p_silent_left", "abs", p_silent_left, actual_silent_left, 1e-12,
+        Check("p_silent_left", "abs", p_silent_left, silent.probability, 1e-12,
               "branch-amplitude oracle")
     )
     boom_dist = born_probabilities(state, "boom")
@@ -181,8 +180,6 @@ def _run_zeno_counterfactual(params, seed):
         )
     )
 
-    with guard("silent photon still at its port"):
-        silent = postselect(state, {"photon": "left", "boom": "none"})
     bomb_dist = born_probabilities(silent.post_state, "bomb")
     p_blocking = bomb_dist.get("z_up", 0.0)
     expected_blocking = c_n * c_n / (c_n * c_n + c_free * c_free)
@@ -226,58 +223,45 @@ ZENO_COUNTERFACTUAL = Scenario(
 
 
 def _ghost_reference(alpha: float, n: int) -> dict:
-    """Dense 3-vector iteration of the same cycle, one run per blocker branch.
+    """Branch-amplitude algebra of the same cycle, apart from the sparse engine.
 
-    Basis (middle, left, right). Returns per-branch photon vectors plus the
-    derived found/not-found data, all independent of the sparse engine.
+    Basis (middle, left, right), amplitude 1/2 per blocker branch: both ports
+    blocked keep cos(alpha)^n in the middle, none turn freely to
+    (cos n*alpha, s, s) with s = sin(n*alpha)/sqrt(2), and one iterates
+    (middle, open port) = (m, o) from (1, 0).
     """
-    h = np.eye(3)
-    h[1:, 1:] = HADAMARD
-    c, sn = math.cos(alpha), math.sin(alpha)
-    r = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
-    u = h @ r @ h
-    branches = {}
-    for bl in (True, False):
-        for br in (True, False):
-            v = np.array([1.0, 0.0, 0.0])
-            for _ in range(n):
-                v = u @ v
-                if bl:
-                    v[1] = 0.0
-                if br:
-                    v[2] = 0.0
-            branches[(bl, br)] = 0.5 * v
-    p_kept = float(fold_sum(np.dot(v, v) for v in branches.values()))
-    found = np.array(
-        [
-            [branches[(True, True)][0], branches[(True, False)][0]],
-            [branches[(False, True)][0], branches[(False, False)][0]],
-        ]
-    )
-    p_found = float(np.sum(found**2))
-    found_n = found / math.sqrt(p_found)
-    lam = np.linalg.svd(found_n, compute_uv=False) ** 2
-    found_entropy = float(-(lam * np.log2(lam + 1e-300)).sum())
-    # not-found branch: bombL against (bombR, photon in the side ports)
-    a = np.zeros((2, 4))
-    for i, bl in enumerate((True, False)):
-        for j, br in enumerate((True, False)):
-            v = branches[(bl, br)]
-            a[i, 2 * j] = v[1]
-            a[i, 2 * j + 1] = v[2]
-    p_nf = float(np.sum(a**2))
-    lam_nf = np.linalg.svd(a / math.sqrt(p_nf), compute_uv=False) ** 2
-    lam_nf = lam_nf[lam_nf > 1e-15]
-    nf_entropy = float(-(lam_nf * np.log2(lam_nf)).sum())
+    c, r = math.cos(alpha), math.sin(alpha) / math.sqrt(2.0)
+    m, o = 1.0, 0.0
+    for _ in range(n):
+        m, o = c * m - r * o, r * m + 0.5 * (1.0 + c) * o
+    # cos and sin of n*alpha, corrected to first order for the product's rounding
+    x = n * alpha
+    e = math.fsum([alpha] * n + [-x])
+    a, b = c**n, math.cos(x) - math.sin(x) * e
+    s = (math.sin(x) + math.cos(x) * e) / math.sqrt(2.0)
+    # Each Schmidt problem is 2x2, weights (1 +- root)/2: the smaller is the
+    # determinant over the larger. Found, bombL against bombR: [[a, m], [m, b]]
+    # over its norm, with 1 - 4 det^2 = (a + b)^2 ((a - b)^2 + 4m^2) / norm^2.
+    norm = a * a + 2.0 * m * m + b * b
+    hi = 0.5 * (1.0 + abs(a + b) * math.hypot(a - b, 2.0 * m) / norm)
+    lo = ((a * b - m * m) / norm) ** 2 / hi
+    # not found, bombL against the rest: rows (0, 0, 0, o) and (o, 0, s, s)
+    h = math.hypot(o, s)
+    nf_hi = 0.5 * (1.0 + abs(s) / h)
+    kept = a * a + 2.0 * (m * m + o * o) + 1.0  # the free branch keeps its norm, 1
     return {
-        "branches": branches,
-        "p_kept": p_kept,
-        "p_found_given_kept": p_found / p_kept,
-        "schmidt": (float(lam[0]), float(lam[1])),
-        "p_both_up_given_found": float(found_n[0, 0] ** 2),
-        "found_entropy": found_entropy,
-        "notfound_entropy": nf_entropy,
+        "p_kept": 0.25 * kept,
+        "p_found_given_kept": norm / kept,
+        "schmidt_second": lo,
+        "p_both_up_given_found": a * a / norm,
+        "found_entropy": _bits(hi, lo),
+        "notfound_entropy": _bits(nf_hi, (0.5 * o / h) ** 2 / nf_hi),
     }
+
+
+def _bits(hi: float, lo: float) -> float:
+    """Entropy in bits of two weights; a zero weight adds nothing."""
+    return -(hi * math.log2(hi) + (lo * math.log2(lo) if lo > 0.0 else 0.0))
 
 
 def _run_zeno_ghost(params, seed):
@@ -317,7 +301,7 @@ def _run_zeno_ghost(params, seed):
         state = rec.post_state
 
     checks.append(
-        Check("p_no_explosion", "abs", ref["p_kept"], p_kept, 1e-9, "dense matrix-iteration oracle")
+        Check("p_no_explosion", "abs", ref["p_kept"], p_kept, 1e-9, "branch-amplitude oracle")
     )
     scale = math.sqrt(p_kept)
     amp_upup = abs(amplitude(state, {"photon": "middle", "bombL": "z_up", "bombR": "z_up"})) * scale
@@ -351,23 +335,23 @@ def _run_zeno_ghost(params, seed):
     found_entropy = entropy(spectrum)
     checks.append(
         Check("p_found_given_no_explosion", "abs", ref["p_found_given_kept"], found.probability,
-              1e-9, "dense matrix-iteration oracle")
+              1e-9, "branch-amplitude oracle")
     )
     checks.append(
         Check("found_schmidt_second", "le", 0.05, second, 0.0,
               "near-product threshold for the derived cycle count")
     )
     checks.append(
-        Check("found_schmidt_second_matches", "abs", ref["schmidt"][1], second,
-              1e-9, "dense matrix-iteration oracle")
+        Check("found_schmidt_second_matches", "abs", ref["schmidt_second"], second,
+              1e-9, "branch-amplitude oracle")
     )
     checks.append(
         Check("p_both_up_given_found", "abs", ref["p_both_up_given_found"], p_both_up, 1e-9,
-              "dense matrix-iteration oracle")
+              "branch-amplitude oracle")
     )
     checks.append(
         Check("found_entropy", "abs", ref["found_entropy"], found_entropy, 1e-9,
-              "dense matrix-iteration oracle")
+              "branch-amplitude oracle")
     )
     steps.append(
         make_step(
@@ -387,7 +371,7 @@ def _run_zeno_ghost(params, seed):
     nf_entropy = cut_entropy(missing.post_state, ("bombL",))
     checks.append(
         Check("notfound_entropy", "abs", ref["notfound_entropy"], nf_entropy, 1e-9,
-              "dense matrix-iteration oracle")
+              "branch-amplitude oracle")
     )
     checks.append(
         Check("notfound_entangled", "ge", 1e-6, nf_entropy, 0.0, "positivity threshold")

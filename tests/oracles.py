@@ -87,15 +87,6 @@ def schmidt_dense(state, part_a) -> list[float]:
     return sorted((float(s * s) for s in sv if s * s >= 1e-12), reverse=True)
 
 
-def entropy_bits(lams) -> float:
-    acc = 0.0
-    for lam in lams:
-        lam = float(lam)
-        if lam > 1e-12:
-            acc -= lam * math.log2(lam)
-    return acc
-
-
 def splitter3() -> np.ndarray:
     s = 1.0 / math.sqrt(2.0)
     return np.array([[0.0, s, s], [s, 0.5, -0.5], [s, -0.5, 0.5]])

@@ -122,6 +122,15 @@ def test_basis_change_rejects_non_unitary():
         apply_basis_change(state, "spin", ((1.0, 0.0), (1.0, 1.0)), ("up", "down"))
 
 
+@pytest.mark.parametrize("out_pair", [None, ("x_plus", "x_minus")])
+def test_basis_change_refuses_a_matrix_that_is_not_2x2(out_pair):
+    # a larger matrix whose top-left 2x2 block is the identity or the swap
+    state = superpose(spin4_register(), [(1.0, {"s": "z_up", "m": "a"})])
+    for u, rows in ((np.eye(3), r"\[3, 3, 3\]"), ([[0, 1, 5], [1, 0, 7]], r"\[3, 3\]")):
+        with pytest.raises(ValueError, match="u must be a 2x2 matrix, got rows of lengths " + rows):
+            apply_basis_change(state, "s", u, ("z_up", "z_down"), out_pair=out_pair)
+
+
 def test_basis_change_cross_pair_moves_between_bases():
     reg = spin4_register()
     state = superpose(reg, [(1.0, {"s": "z_up", "m": "a"})])

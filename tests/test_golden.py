@@ -22,11 +22,14 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
 import ketsim.cli as cli
 from ketsim import run_scenario
 from ketsim.report import report_to_json, sweep_to_csv
 from ketsim.scenarios import catalog
+
+import numpy_baseline
 
 SEEDS = (0, 7)
 SWEEP_KEY = "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20"
@@ -47,8 +50,8 @@ GOLDEN = {
     "zeno_basic/7": "ea4305706251bd6eac66d745b4db6f6e439336929ebde69b348a0ce7839d7746",
     "zeno_counterfactual/0": "d2ff455179bfd16a1878ddecee36556628390e7842f919238e727c03b82d0a10",
     "zeno_counterfactual/7": "6022119d32154c332a80e0c7f7d9dbd9186f7c87bedebbb9e7cf322da86c9670",
-    "zeno_ghost_entanglement/0": "309b764da4f4f7e0b71de628bcffb1e15fbe686552af6788234e6283ad6927e2",
-    "zeno_ghost_entanglement/7": "568a13d619229c30ac0e12870350c2db6fd3eb2515d839ced9c2d4f0247222fa",
+    "zeno_ghost_entanglement/0": "1faba8ac6de4220771c9d5df5d2d181e32ce10f4ea3c0a5e404bf6d538f54b00",
+    "zeno_ghost_entanglement/7": "48bb95ebe621efb602c98942a7d6d417ea333126100f84446923a3addce17a55",
     "partial_erasure/0": "07b2bdb030433d14c44e9841cfe9af6255608ee9cf298d5675cd43dc73274897",
     "partial_erasure/7": "3efbe588e233b9d058c7d9a6c81af4bd33c61a7c2a8f0c21f1c1b0f58be51c0a",
     "weak_ensemble/0": "fca20ecc646d6213d0c6eb4bdbe606f875bd4dadb5c7a238dc2a3a1bae33b35d",
@@ -61,7 +64,7 @@ GOLDEN = {
     "dicke_tray_spoon/7": "98615ff3220bd5dc0cbff9ffbb3b279979de4a09c463e24ade9145ff55979956",
     "ab_toy/0": "9df24e534d6ffd6050d3f976e71303cf002d4f74d6a676b1810b83acb325995e",
     "ab_toy/7": "64aaf063646d3d34d0c2442a1abcf78c4a2b94bdf7faeecd2ffbb8475dcd547b",
-    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "e8f6e8f858ea6c4d3374676def62840c27fa0b65c28869ad263a3061df8e868c",
+    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "8617192b9118db0fcdc420e3609f387d00d55bb20df2622a55baf349e75fb1c5",
     "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000": "238f32032466db6b0c18974e01e9af5c48d7810e32e05fe26a6ed9bfe20c799b",
     "zeno_basic/sweep alpha=0.157:0.0785:3 --format json": "32b42f6e687c03934ded67c3fae393a774411413fde26ca92dd2797470436723",
 }
@@ -111,6 +114,22 @@ def moved_entries() -> list[str]:
 def test_report_bytes_match_golden_hashes():
     moved = moved_entries()
     assert not moved, "report bytes moved:\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("core", ["Nehalem", "Haswell"])
+def test_report_bytes_do_not_depend_on_the_blas_kernel(core):
+    # No report value goes through BLAS, so a CPU that OpenBLAS serves with
+    # an older kernel (SSE4.2 Nehalem, AVX2 Haswell) must give the same bytes.
+    if core == "Haswell" and not numpy_baseline.__cpu_features__["AVX2"]:
+        pytest.skip("the Haswell kernel needs AVX2")
+    out = numpy_baseline.run_on_openblas_core(
+        core,
+        """
+        import test_golden
+        print("\\n".join(test_golden.moved_entries()))
+        """,
+    )
+    assert not out.strip(), f"report bytes moved on OpenBLAS core {core}:\n{out}"
 
 
 def compensated_sum(iterable, start=0):

@@ -398,9 +398,10 @@ def compare_grid_path_with_oracle(seed: int, draws: int = 12) -> collections.Cou
                 assert prob == want_prob and post.amplitudes.dtype == state.amplitudes.dtype
                 assert _same_bits(post.amplitudes, want)
                 _check_spectra(post, want)
-                # a real state's overlap is a real dot product
-                pair = (want.real.copy(), ref_spoon.real.copy()) if state is wf else (want, ref_spoon)
-                assert _overlap_sq(post, spoon) == abs(np.vdot(*pair) * dx) ** 2
+                # np.sum pairs a complex array's terms unlike a real one's, so
+                # a real state's overlap is summed over the real parts
+                pair = (want.real, ref_spoon.real) if state is wf else (want.conj(), ref_spoon)
+                assert _overlap_sq(post, spoon) == abs(np.sum(pair[0] * pair[1]) * dx) ** 2
                 scaled = GridWavefunction(n, lo, hi, post.amplitudes * 3.0).normalized()
                 assert _same_bits(scaled.amplitudes, oracles.reference_normalized(want * 3.0, dx))
                 seen["window cuts"] += 1

@@ -268,6 +268,9 @@ def test_weak_measure_norm_and_validation():
     for value in (math.nan, math.inf):
         with pytest.raises(ParameterError, match="eigenvalue of label 'down' must be finite"):
             weak_measure(state, "spin", {"up": 1.0, "down": value}, params)
+    # a key that is not a label of the subsystem, even next to a full observable
+    with pytest.raises(ParameterError, match=r"observable names labels \['zz'\] that subsystem 'spin' does not"):
+        weak_measure(state, "spin", {"up": 1.0, "down": -1.0, "zz": 50.0}, params)
     # a kick of 20 widths widens the grid instead of leaking off its edge
     far = weak_measure(state, "spin", {"up": 1.0, "down": -1.0}, WeakParams(g=40.0, sigma=2.0))
     assert far.norm_sq() == pytest.approx(1.0, abs=1e-9)

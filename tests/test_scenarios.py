@@ -5,7 +5,7 @@ import pytest
 
 from ketsim import ImpossibleOutcomeError, ParameterError, list_scenarios, run_scenario
 from ketsim.report import report_to_json, sweep_to_csv
-from ketsim.scenarios import StepFailure, catalog, guard, scenario_rng
+from ketsim.scenarios import StepFailure, catalog, guard, scenario_rng, zeno
 
 import oracles
 
@@ -209,12 +209,10 @@ def test_zeno_counterfactual_inference_and_honest_failure_zone():
     assert not off.all_passed
 
 
-def test_zeno_ghost_matches_dense_branch_iteration():
-    alpha, n = math.pi / 40, 20
-    report = run_scenario("zeno_ghost_entanglement")
-    c = checks_by_name(report)
-
-    # dense reference: iterate the 3-level photon per blocker branch
+def _dense_ghost(alpha, n):
+    """The zeno_ghost_entanglement cycle as a dense 3-vector iteration per
+    blocker branch, in the basis (middle, left, right): the branches, keyed by
+    (left live, right live), and the values the scenario's oracle derives."""
     h2 = np.array([[1, 0, 0], [0, 1, 1], [0, 1, -1]], dtype=float)
     h2[1:, 1:] /= math.sqrt(2)
     rot = np.array(
@@ -237,29 +235,62 @@ def test_zeno_ghost_matches_dense_branch_iteration():
                 v = blockR @ v
         return v
 
-    branches = {
-        (up_l, up_r): 0.5 * evolve(up_l, up_r)
-        for up_l in (True, False)
-        for up_r in (True, False)
-    }
+    keys = ((True, True), (True, False), (False, True), (False, False))
+    branches = {k: 0.5 * evolve(*k) for k in keys}
     p_kept = sum(float(np.vdot(v, v).real) for v in branches.values())
-    assert c["p_no_explosion"].actual == pytest.approx(p_kept, abs=1e-9)
-    assert c["p_no_explosion"].actual == pytest.approx(0.9505588953160761, abs=1e-9)
+    found = np.array([branches[k][0] for k in keys]).reshape(2, 2)
+    p_middle = float(np.sum(found**2))
+    lams = sorted((s**2 for s in np.linalg.svd(found / math.sqrt(p_middle), compute_uv=False)), reverse=True)
+    # not found: bombL against (bombR, photon in a side port)
+    sides = np.array([[*branches[(left, True)][1:], *branches[(left, False)][1:]] for left in (True, False)])
+    nf = np.linalg.svd(sides / math.sqrt(float(np.sum(sides**2))), compute_uv=False) ** 2
 
-    p_middle = sum(abs(v[0]) ** 2 for v in branches.values())
-    assert c["p_found_given_no_explosion"].actual == pytest.approx(p_middle / p_kept, abs=1e-9)
+    def bits(weights):
+        return -sum(w * math.log2(w) for w in weights if w > 0.0)
+
+    return branches, {
+        "p_kept": p_kept,
+        "p_found_given_kept": p_middle / p_kept,
+        "schmidt_second": lams[1],
+        "p_both_up_given_found": float(found[0, 0] ** 2) / p_middle,
+        "found_entropy": bits(lams),
+        "notfound_entropy": bits(nf),
+    }
+
+
+def test_zeno_ghost_matches_dense_branch_iteration():
+    alpha, n = math.pi / 40, 20
+    report = run_scenario("zeno_ghost_entanglement")
+    c = checks_by_name(report)
+    branches, dense = _dense_ghost(alpha, n)
+
+    assert c["p_no_explosion"].actual == pytest.approx(dense["p_kept"], abs=1e-9)
+    assert c["p_no_explosion"].actual == pytest.approx(0.9505588953160761, abs=1e-9)
+    assert c["p_found_given_no_explosion"].actual == pytest.approx(dense["p_found_given_kept"], abs=1e-9)
     assert c["amp_middle_both_up"].actual == pytest.approx(abs(branches[(True, True)][0]), abs=1e-12)
     assert c["amp_middle_both_up"].actual == pytest.approx(0.5 * math.cos(alpha) ** n, abs=1e-9)
     assert c["amp_middle_both_down"].actual == pytest.approx(abs(branches[(False, False)][0]), abs=1e-12)
-
-    found = np.array([branches[k][0] for k in ((True, True), (True, False), (False, True), (False, False))])
-    found_mat = found.reshape(2, 2) / math.sqrt(p_middle)
-    lams = sorted((s**2 for s in np.linalg.svd(found_mat, compute_uv=False)), reverse=True)
-    assert c["found_schmidt_second"].actual == pytest.approx(lams[1], abs=1e-9)
-    assert c["found_entropy"].actual == pytest.approx(oracles.entropy_bits(lams), abs=1e-9)
+    assert c["found_schmidt_second"].actual == pytest.approx(dense["schmidt_second"], abs=1e-9)
+    assert c["found_entropy"].actual == pytest.approx(dense["found_entropy"], abs=1e-9)
     assert c["found_entropy"].actual == pytest.approx(0.14966890842833833, abs=1e-9)
+    assert c["notfound_entropy"].actual == pytest.approx(dense["notfound_entropy"], abs=1e-9)
     assert c["notfound_entropy"].actual == pytest.approx(0.6958885519469937, abs=1e-9)
     assert c["notfound_entangled"].actual > 1e-6
+
+
+def test_zeno_ghost_branch_algebra_matches_the_dense_iteration():
+    specs = {p.name: p for p in catalog()["zeno_ghost_entanglement"].params}
+    low, high = specs["alpha"].low, math.nextafter(specs["alpha"].high, 0.0)
+    top = specs["cycles"].high
+    rng = np.random.default_rng(31)
+    draws = [(low, 1), (low, top), (high, 1), (high, top), (math.pi / 40, 20), (0.5805, 138)]
+    draws += [(float(rng.uniform(low, high)), int(rng.integers(1, top + 1))) for _ in range(18)]
+    for alpha, n in draws:
+        want = _dense_ghost(alpha, n)[1]
+        got = zeno._ghost_reference(alpha, n)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=0.0, abs=1e-12), (alpha, n, key)
 
 
 def test_partial_erasure_closed_forms():
