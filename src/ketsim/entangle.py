@@ -81,7 +81,7 @@ def schmidt(state: StateVector, bipartition: tuple[Iterable[str], Iterable[str]]
 
 
 def entropy(arg) -> float:
-    """Von Neumann entropy in bits of a spectrum or a raw list of weights."""
+    """Von Neumann entropy in bits of a spectrum or of raw weights, each finite and in [-1e-10, 1 + 1e-9]."""
     if isinstance(arg, SchmidtSpectrum):
         lams = list(arg.coefficients)
     else:
@@ -89,6 +89,8 @@ def entropy(arg) -> float:
     for lam in lams:
         if lam < -EIG_NEG_TOL:
             raise ValueError(f"eigenvalue {lam!r} below -1e-10 is not float noise")
+        if not lam <= 1.0 + 1e-9:
+            raise ValueError(f"eigenvalue {lam!r} is not a finite weight of at most 1 + 1e-9")
     kept = [lam for lam in lams if lam >= EIG_FLOOR]
     # One weight is a pure state: its entropy is exactly 0, whatever dust
     # the weight's rounding away from 1 would add to -lam*log2(lam).

@@ -21,11 +21,11 @@ def conditioning_scale(weight: float, outcome: str | Callable[[], str], *, floor
 
     Every projection, post-selection, partial readout, pointer collapse and
     window cut conditions through here: an outcome whose Born weight is at
-    or below the floor raises ImpossibleOutcomeError naming the outcome, used
-    verbatim. `outcome` may be a function that returns the name; it is
-    called only on that refusal.
+    or below the floor, or NaN, raises ImpossibleOutcomeError naming the
+    outcome, used verbatim. `outcome` may be a function that returns the
+    name; it is called only on that refusal.
     """
-    if weight <= floor:
+    if not weight > floor:
         if callable(outcome):
             outcome = outcome()
         raise ImpossibleOutcomeError(f"{outcome} has Born weight {weight:g}; cannot condition on it")

@@ -79,11 +79,19 @@ def _pin_heap_thresholds() -> None:
 _pin_heap_thresholds()
 
 
+def _require_finite(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 def _check_geometry(n: int, x_min: float, x_max: float) -> None:
     if not (n >= 2 and (n & (n - 1)) == 0):
         raise ParameterError(f"sample count must be a power of two, got {n}")
+    _require_finite(("x_min", x_min), ("x_max", x_max))
     if not x_max > x_min:
         raise ParameterError("x_max must exceed x_min")
+    _require_finite(("the span x_max - x_min", x_max - x_min))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -197,14 +205,6 @@ class GridWavefunction:
         return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes * (1.0 / self._norm()))
 
 
-def _owned_normalized(n: int, x_min: float, x_max: float, amps: np.ndarray) -> GridWavefunction:
-    """normalized() for amplitudes the caller owns: scales them in place."""
-    wf = GridWavefunction(n, x_min, x_max, amps)
-    owned = wf.amplitudes
-    owned *= 1.0 / wf._norm()
-    return wf
-
-
 def contained(wf: GridWavefunction) -> bool:
     """Boundary samples negligible relative to the peak."""
     mags = np.abs(wf.amplitudes)
@@ -218,6 +218,7 @@ def gaussian_packet(
     n: int, x_min: float, x_max: float, center: float, width: float
 ) -> GridWavefunction:
     """Normalized packet exp(-(x-center)^2 / 2*width^2) on the grid."""
+    _require_finite(("center", center), ("width", width))
     if width <= 0:
         raise ParameterError("width must be positive")
     _check_geometry(n, x_min, x_max)
@@ -226,8 +227,10 @@ def gaussian_packet(
         raise ParameterError(
             f"grid spacing {dx:g} does not resolve width {width:g} (need dx <= width/4)"
         )
-    xs = grid_xs(n, x_min, x_max)
-    wf = _owned_normalized(n, x_min, x_max, _gaussian(xs, center, 2.0 * width * width))
+    wf = GridWavefunction(n, x_min, x_max, _gaussian(grid_xs(n, x_min, x_max), center, 2.0 * width * width))
+    # normalized(), in place on the array this call owns
+    owned = wf.amplitudes
+    owned *= 1.0 / wf._norm()
     if not contained(wf):
         raise ParameterError("packet is not contained: boundary amplitude too large")
     return wf

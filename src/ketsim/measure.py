@@ -175,6 +175,11 @@ def erase_partial(
     (eps', success probability = 2|b|^2, the no-click post state).
     """
     l_boost, l_supp = pair
+    if l_boost == l_supp:
+        raise ParameterError(f"pair names label {l_boost!r} twice")
+    unknown = [k for k in pair if k not in state.register.spec(subsystem).labels]
+    if unknown:
+        raise ParameterError(f"pair names labels {unknown} that subsystem {subsystem!r} does not have")
     w = born_probabilities(state, subsystem)
     w_boost = w.get(l_boost, 0.0)
     w_supp = w.get(l_supp, 0.0)
@@ -407,7 +412,7 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     mag = np.hypot(re, im)
     kept = mag > PRUNE_TOL
     weight = np.cumsum(np.where(kept, np.float_power(mag, 2.0), 0.0), axis=0)[-1]
-    refused = np.flatnonzero(weight <= 1e-300)
+    refused = np.flatnonzero(~(weight > 1e-300))
     if refused.size:
         i = refused[0]
         conditioning_scale(float(weight[i]), f"pointer reading {float(xs[js[i]])!r}", floor=1e-300)

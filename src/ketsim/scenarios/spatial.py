@@ -8,8 +8,9 @@ work. Expected values are Gaussian quadrature closed forms and the
 reciprocal-width law of the Fourier transform. After Dicke, Am. J. Phys.
 49, 925 (1981): the wide packet is the tray, the narrow one the spoon.
 
-The state is the two-packet sum on one grid spanning 8 tray widths beyond
-both centres at spacing <= l_spoon/8. Its cross term is kept, and made
+The state is sqrt(1-eps^2)*tray + eps*spoon, renormalized: two
+grid-normalized `gaussian_packet`s on one grid spanning 8 tray widths beyond
+both centres at spacing <= l_spoon/8. The cross term is kept, and made
 negligible by two refused-when-broken invariants: l_spoon <= l_tray/10, and
 the centres at least 5*(l_tray + l_spoon) apart.
 """
@@ -21,17 +22,7 @@ import math
 import numpy as np
 
 from ..errors import ParameterError
-from ..grid import (
-    _check_geometry,
-    _gaussian,
-    _owned_normalized,
-    fine_grid_size,
-    gaussian_packet,
-    grid_xs,
-    moments,
-    momentum_spectrum,
-    window_project,
-)
+from ..grid import GridWavefunction, fine_grid_size, gaussian_packet, moments, momentum_spectrum, window_project
 from ..report import Check, make_step
 from . import ParamSpec, Scenario, guard
 
@@ -46,21 +37,16 @@ def _overlap_sq(a, b) -> float:
 
 
 def _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps):
-    """sqrt(1-eps^2)*N(big)*g(x_tray, big) + eps*N(small)*g(x_spoon, small), renormalized on
-    the grid; g(c, w) = exp(-(x-c)^2/2w^2) and N(w) = (pi*w^2)^(-1/4) normalizes it."""
-    _check_geometry(n, lo, hi)
+    """(sqrt(1-eps^2)*tray + eps*spoon renormalized on the grid, spoon), where tray and
+    spoon are the grid-normalized gaussian_packets of widths big at x_tray and small at x_spoon."""
     dx = (hi - lo) / n
     if dx > small / 8.0:
         raise ParameterError(f"grid spacing {dx:g} of n={n} does not resolve l_spoon={small:g} (need <= l_spoon/8)")
-    xs = grid_xs(n, lo, hi)
-    tray = _gaussian(xs, x_tray, 2.0 * big**2)
-    tray *= (math.pi * big * big) ** -0.25
-    spoon = _gaussian(xs, x_spoon, 2.0 * small**2)
-    spoon *= (math.pi * small * small) ** -0.25
+    spoon = gaussian_packet(n, lo, hi, x_spoon, small)
+    tray = gaussian_packet(n, lo, hi, x_tray, big).amplitudes
     tray *= math.sqrt(1.0 - eps**2)
-    spoon *= eps
-    tray += spoon
-    return _owned_normalized(n, lo, hi, tray)
+    tray += eps * spoon.amplitudes
+    return GridWavefunction(n, lo, hi, tray).normalized(), spoon
 
 
 def _run_dicke(params, seed):
@@ -75,7 +61,7 @@ def _run_dicke(params, seed):
     lo = min(x_tray, x_spoon) - 8.0 * big
     hi = max(x_tray, x_spoon) + 8.0 * big
     n = params["n"] if params["n"] > 0 else fine_grid_size(hi - lo, small / 8.0)
-    wf = _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps)
+    wf, spoon_packet = _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps)
     checks = []
 
     mean_x, std_x = moments(wf)
@@ -115,7 +101,6 @@ def _run_dicke(params, seed):
         Check("p_null_outcome", "abs", p_null_expected, p_null, 1e-5, "Gaussian quadrature oracle")
     )
 
-    spoon_packet = gaussian_packet(n, lo, hi, x_spoon, small)
     fid_spoon = _overlap_sq(post, spoon_packet)
     checks.append(
         Check("fidelity_vs_pure_spoon", "abs", eps_sq / p_null_expected, fid_spoon, 0.005,

@@ -276,17 +276,13 @@ def reference_gaussian_packet(n, x_min, x_max, center, width) -> np.ndarray:
     return reference_normalized(amps, (x_max - x_min) / n)
 
 
-def reference_tray_and_spoon(n, x_min, x_max, big, small, x_tray, x_spoon, eps) -> np.ndarray:
-    """sqrt(1-eps^2) * tray + eps * spoon, each a continuum-normalized packet."""
-    xs = reference_xs(n, x_min, x_max)
-    tray = reference_gaussian(xs, x_tray, 2.0 * big**2)
-    tray *= (math.pi * big * big) ** -0.25
-    spoon = reference_gaussian(xs, x_spoon, 2.0 * small**2)
-    spoon *= (math.pi * small * small) ** -0.25
+def reference_tray_and_spoon(n, x_min, x_max, big, small, x_tray, x_spoon, eps):
+    """(sqrt(1-eps^2) * tray + eps * spoon renormalized, spoon), each packet grid-normalized."""
+    spoon = reference_gaussian_packet(n, x_min, x_max, x_spoon, small)
+    tray = reference_gaussian_packet(n, x_min, x_max, x_tray, big)
     tray *= math.sqrt(1.0 - eps**2)
-    spoon *= eps
-    tray += spoon
-    return reference_normalized(tray, (x_max - x_min) / n)
+    tray += eps * spoon
+    return reference_normalized(tray, (x_max - x_min) / n), spoon
 
 
 def reference_window_project(n, x_min, x_max, amps, interval, keep_inside):

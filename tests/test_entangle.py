@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,15 @@ def test_entropy_inputs():
     assert entropy([1.0, 0.0]) == 0.0  # exact zeros are skipped
     with pytest.raises(ValueError):
         entropy([1.1, -0.1])
+    with pytest.raises(ValueError, match="below -1e-10"):
+        entropy([1.0, -0.1])
+
+
+@pytest.mark.parametrize("weights", ([math.nan, 0.5], [1.5, 0.2], [math.inf, 0.0], [0.5, 1.0 + 2e-9]))
+def test_entropy_refuses_a_non_finite_weight_or_one_above_one(weights):
+    bad = next(w for w in weights if not w <= 1.0 + 1e-9)
+    with pytest.raises(ValueError, match=f"^eigenvalue {bad!r} is not a finite weight"):
+        entropy(weights)
 
 
 def test_product_state_entropy_is_never_negative():

@@ -64,7 +64,7 @@ GOLDEN = {
     "dicke_tray_spoon/7": "98615ff3220bd5dc0cbff9ffbb3b279979de4a09c463e24ade9145ff55979956",
     "ab_toy/0": "9df24e534d6ffd6050d3f976e71303cf002d4f74d6a676b1810b83acb325995e",
     "ab_toy/7": "64aaf063646d3d34d0c2442a1abcf78c4a2b94bdf7faeecd2ffbb8475dcd547b",
-    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "8617192b9118db0fcdc420e3609f387d00d55bb20df2622a55baf349e75fb1c5",
+    "dicke_tray_spoon/sweep l_spoon=0.1:0.01:20": "e647fa23461018f0dc855b99e40e146cad83ebfca1ea86a4f15944b73236ef63",
     "weak_ensemble/sweep g=0.5:1.5:10 n_shots=1000": "238f32032466db6b0c18974e01e9af5c48d7810e32e05fe26a6ed9bfe20c799b",
     "zeno_basic/sweep alpha=0.157:0.0785:3 --format json": "32b42f6e687c03934ded67c3fae393a774411413fde26ca92dd2797470436723",
 }

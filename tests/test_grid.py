@@ -47,6 +47,32 @@ def test_grid_wavefunction_validation():
         GridWavefunction(8, -1.0, 1.0, np.zeros(4, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "x_min, x_max, name",
+    (
+        (0.0, math.inf, "x_max"),
+        (-math.inf, 1.0, "x_min"),
+        (math.nan, 1.0, "x_min"),
+        (0.0, math.nan, "x_max"),
+        (-1e308, 1e308, "the span x_max - x_min"),
+    ),
+)
+def test_grid_geometry_refuses_non_finite_bounds_and_span(x_min, x_max, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        GridWavefunction(8, x_min, x_max, np.zeros(8))
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        gaussian_packet(8, x_min, x_max, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "center, width, name",
+    ((math.nan, 1.0, "center"), (math.inf, 1.0, "center"), (0.0, math.nan, "width"), (0.0, math.inf, "width")),
+)
+def test_packet_refuses_a_non_finite_center_or_width(center, width, name):
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        gaussian_packet(2048, -40, 40, center, width)
+
+
 def test_packet_width_convention():
     """Amplitude width w means position std w/sqrt2 and momentum std 1/(w*sqrt2)."""
     for w in (0.5, 1.0, 3.0):
@@ -123,6 +149,13 @@ def test_window_project_guards():
         window_project(wf, (30.0, 39.0), keep_inside=True)  # no support out there
 
 
+def test_window_project_refuses_a_nan_weight():
+    wf = GridWavefunction(8, -1.0, 1.0, np.full(8, math.nan))
+    for keep_inside in (True, False):
+        with pytest.raises(ImpossibleOutcomeError, match="Born weight nan"):
+            window_project(wf, (-0.5, 0.5), keep_inside=keep_inside)
+
+
 def test_moments_requires_normalized_input():
     grid = np.linspace(-1, 1, 11)
     probs = np.full(11, 0.05)
@@ -169,7 +202,7 @@ def test_dicke_grid_is_capped():
 def test_dicke_superposition_weights():
     d = Dicke(big=1.0, small=0.05, x_tray=0.0, x_spoon=6.0, eps=0.2)
     lo, hi = _scenario_domain(d)
-    wf = _tray_and_spoon(fine_grid_size(hi - lo, d.small / 8.0), lo, hi, *d)
+    wf, _ = _tray_and_spoon(fine_grid_size(hi - lo, d.small / 8.0), lo, hi, *d)
     assert wf.norm_sq() == pytest.approx(1.0, abs=1e-12)
     # mass near the small packet is eps^2 (cross term negligible by construction)
     prob, _ = window_project(wf, (d.x_spoon - 1.0, d.x_spoon + 1.0), keep_inside=True)
@@ -200,7 +233,7 @@ def _geometry_packet(n, x_min, x_max):
 
 def _geometry_dicke(n, x_min, x_max):
     d = Dicke(big=1.0, small=0.1, x_tray=x_min + 9.0, x_spoon=x_min + 15.0, eps=0.3)
-    return d, _tray_and_spoon(n, x_min, x_max, *d)
+    return d, *_tray_and_spoon(n, x_min, x_max, *d)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -208,23 +241,26 @@ def test_packets_match_the_plain_formulas_bit_for_bit(geometry):
     n, x_min, x_max = geometry
     dx = (x_max - x_min) / n
     xs = _plain_xs(n, x_min, x_max)
-    center, width = 0.5 * (x_min + x_max), 1.0
-    amps = np.exp(-((xs - center) ** 2) / (2.0 * width * width)).astype(complex)
-    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-    assert np.array_equal(_geometry_packet(n, x_min, x_max).amplitudes, amps)
 
-    d, wf = _geometry_dicke(n, x_min, x_max)
-    tray = (math.pi * d.big * d.big) ** -0.25 * np.exp(-((xs - d.x_tray) ** 2) / (2.0 * d.big**2))
-    spoon = (math.pi * d.small * d.small) ** -0.25 * np.exp(-((xs - d.x_spoon) ** 2) / (2.0 * d.small**2))
-    amps = (math.sqrt(1.0 - d.eps**2) * tray + d.eps * spoon).astype(complex)
-    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
-    assert np.array_equal(wf.amplitudes, amps)
+    def plain_normalized(amps):
+        return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2) * dx))
+
+    def plain_packet(center, width):
+        return plain_normalized(np.exp(-((xs - center) ** 2) / (2.0 * width * width)).astype(complex))
+
+    want = plain_packet(0.5 * (x_min + x_max), 1.0)
+    assert np.array_equal(_geometry_packet(n, x_min, x_max).amplitudes, want)
+
+    d, wf, spoon = _geometry_dicke(n, x_min, x_max)
+    want_spoon = plain_packet(d.x_spoon, d.small)
+    want = plain_normalized(math.sqrt(1.0 - d.eps**2) * plain_packet(d.x_tray, d.big) + d.eps * want_spoon)
+    assert np.array_equal(wf.amplitudes, want) and np.array_equal(spoon.amplitudes, want_spoon)
     assert np.array_equal(wf.xs, xs)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_spectra_and_moments_match_the_plain_formulas_bit_for_bit(geometry):
-    _, wf = _geometry_dicke(*geometry)
+    _, wf, _ = _geometry_dicke(*geometry)
     dx = wf.dx
     f = np.fft.fft(wf.amplitudes)
     p = 2.0 * math.pi * np.fft.fftfreq(wf.n, d=dx)
@@ -377,12 +413,10 @@ def compare_grid_path_with_oracle(seed: int, draws: int = 12) -> collections.Cou
     for _ in range(draws):
         d, (lo, hi), n, half = _random_dicke(rng)
         dx = (hi - lo) / n
-        wf = _tray_and_spoon(n, lo, hi, *d)
-        ref = oracles.reference_tray_and_spoon(n, lo, hi, *d)
+        wf, spoon = _tray_and_spoon(n, lo, hi, *d)
+        ref, ref_spoon = oracles.reference_tray_and_spoon(n, lo, hi, *d)
         assert wf.amplitudes.dtype == np.float64 and _same_bits(wf.amplitudes, ref)
         as_complex = GridWavefunction(n, lo, hi, ref.copy())
-        spoon = gaussian_packet(n, lo, hi, d.x_spoon, d.small)
-        ref_spoon = oracles.reference_gaussian_packet(n, lo, hi, d.x_spoon, d.small)
         assert spoon.amplitudes.dtype == np.float64 and _same_bits(spoon.amplitudes, ref_spoon)
         a = d.x_tray - float(rng.uniform(0.0, 3.0)) * d.big
         cuts = (

@@ -248,6 +248,14 @@ def test_erase_partial_validation():
         erase_partial(spread, "a", ("0", "1"))  # support leaks outside the pair
 
 
+def test_erase_partial_refuses_a_repeated_or_unknown_label():
+    state = superpose(spin_register(), [(1.0, {"spin": "up", "tag": "t0"}), (1.0, {"spin": "down", "tag": "t0"})])
+    with pytest.raises(ParameterError, match="^pair names label 'up' twice$"):
+        erase_partial(state, "spin", ("up", "up"))
+    with pytest.raises(ParameterError, match=r"^pair names labels \['sideways'\] that subsystem 'spin' does not have$"):
+        erase_partial(state, "spin", ("up", "sideways"))
+
+
 def test_weak_params_validation():
     for sigma in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="sigma"):
@@ -631,3 +639,8 @@ def test_refusal_names_the_outcome_verbatim():
     # the outcome is never %-formatted, so a '%' in it stays as it is
     with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome '50%' has"):
         conditioning_scale(0.0, "partial outcome '50%'")
+
+
+def test_a_nan_weight_is_refused_not_conditioned_on():
+    with pytest.raises(ImpossibleOutcomeError, match="^outcome has Born weight nan"):
+        conditioning_scale(math.nan, "outcome")
