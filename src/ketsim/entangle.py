@@ -35,7 +35,7 @@ class SchmidtSpectrum:
         if any(cs[i] < cs[i + 1] for i in range(len(cs) - 1)):
             raise ValueError("coefficients must be descending")
         total = fold_sum(cs)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"coefficients sum to {total!r}, not 1 within 1e-9")
 
 

@@ -23,6 +23,8 @@ densities equal the complex128 ones an all-complex path gives, because
 numpy's complex / real computes a * (1.0 / norm), which is how every
 normalization here scales (for a zero amplitude the sign may differ; no
 density or report can see it), and because |a + 0j| ** 2 equals a * a.
+Every scale is errors.conditioning_scale's: a norm that is NaN, infinite or
+at most NORM_FLOOR (a cut's Born weight: PROB_FLOOR) is refused.
 
 Memory: importing this module pins glibc malloc's two heap thresholds
 through `mallopt`, once, for the whole process. Blocks below
@@ -46,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ImpossibleOutcomeError, ParameterError, conditioning_scale
+from .errors import NORM_FLOOR, ParameterError, conditioning_scale
 
 CONTAINMENT_RATIO = 1e-6
 # Largest grid an automatic size may pick (16 MB per complex array).
@@ -193,16 +195,11 @@ class GridWavefunction:
     def norm_sq(self) -> float:
         return float(np.sum(_density(self.amplitudes)) * self.dx)
 
-    def _norm(self) -> float:
-        n2 = self.norm_sq()
-        if n2 < 1e-300:
-            raise ImpossibleOutcomeError("cannot normalize a zero wavefunction")
-        return math.sqrt(n2)
-
     def normalized(self) -> "GridWavefunction":
         # a * (1.0 / norm) is what numpy's complex / real computes, and it
         # keeps a real wavefunction real.
-        return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes * (1.0 / self._norm()))
+        scale = conditioning_scale(self.norm_sq(), "wavefunction to normalize", floor=NORM_FLOOR)
+        return GridWavefunction(self.n, self.x_min, self.x_max, self.amplitudes * scale)
 
 
 def contained(wf: GridWavefunction) -> bool:
@@ -230,7 +227,7 @@ def gaussian_packet(
     wf = GridWavefunction(n, x_min, x_max, _gaussian(grid_xs(n, x_min, x_max), center, 2.0 * width * width))
     # normalized(), in place on the array this call owns
     owned = wf.amplitudes
-    owned *= 1.0 / wf._norm()
+    owned *= conditioning_scale(wf.norm_sq(), "packet to normalize", floor=NORM_FLOOR)
     if not contained(wf):
         raise ParameterError("packet is not contained: boundary amplitude too large")
     return wf
@@ -257,9 +254,10 @@ def window_project(
     else:
         kept = wf.amplitudes.copy()
         kept[lo:hi] = 0.0
-    prob = float(np.sum(_density(kept)) * wf.dx)
+    cut = GridWavefunction(wf.n, wf.x_min, wf.x_max, kept)
+    prob = cut.norm_sq()
     kept *= conditioning_scale(prob, "window projection")
-    return prob, GridWavefunction(wf.n, wf.x_min, wf.x_max, kept)
+    return prob, cut
 
 
 def momentum_spectrum(wf: GridWavefunction) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
+from .errors import NORM_FLOOR, PROB_FLOOR, ImpossibleOutcomeError, ParameterError, conditioning_scale
 from .evolve import apply_split
 from .grid import _density, fine_grid_size, gaussian_packet, grid_xs
 from .register import (
@@ -50,7 +50,7 @@ class MeasurementRecord:
                 f"outcome probability {self.probability!r} outside (1e-12, 1]"
             )
         n = self.post_state.norm()
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:
             raise ValueError(f"post state norm {n!r} is not 1 within {NORM_TOL}")
 
 
@@ -183,7 +183,7 @@ def erase_partial(
     w = born_probabilities(state, subsystem)
     w_boost = w.get(l_boost, 0.0)
     w_supp = w.get(l_supp, 0.0)
-    if abs(w_boost + w_supp - 1.0) > NORM_TOL:
+    if not abs(w_boost + w_supp - 1.0) <= NORM_TOL:
         raise ParameterError("state must be supported on the given pair alone")
     if w_supp <= PROB_FLOOR:
         raise ImpossibleOutcomeError(
@@ -248,17 +248,17 @@ class WeakJointState:
 
         The cdf is normalized the way Generator.choice(p=...) normalizes it, so
         a searchsorted draw of one uniform picks the index choice would pick.
-        A zero-weight joint raises here on every access: a cached_property
-        caches only a returned value. The arithmetic runs row by row, in place,
-        in the order of sum(|row|^2) * dx / total, so it holds two n-point arrays.
+        A total weight that conditioning_scale refuses raises here on every
+        access: a cached_property caches only a returned value. The arithmetic
+        runs row by row, in place, in the order of sum(|row|^2) * dx / total,
+        so it holds two n-point arrays.
         """
         density = np.zeros(self.n)
         for row in self.pointers:
             density += _density(row)
         density *= self.dx
         total = float(density.sum())
-        if total <= PROB_FLOOR:
-            raise ImpossibleOutcomeError("joint state has no weight to sample")
+        conditioning_scale(total, "pointer sampling")
         density /= total
         cdf = np.cumsum(density, out=density)
         cdf /= cdf[-1]
@@ -402,7 +402,7 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     post-readout amplitude where it does. Each shot gives
     the bits of prune, a fold_sum weight, conditioning_scale and a * scale
     over that shot's amplitudes. The position was drawn from the density,
-    so its weight is positive; the 1e-300 floor only rejects a sample whose
+    so its weight is positive; NORM_FLOOR only rejects a sample whose
     amplitudes underflow to zero, and names the first such reading.
     """
     cdf, xs = joint._sampler
@@ -412,10 +412,10 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     mag = np.hypot(re, im)
     kept = mag > PRUNE_TOL
     weight = np.cumsum(np.where(kept, np.float_power(mag, 2.0), 0.0), axis=0)[-1]
-    refused = np.flatnonzero(~(weight > 1e-300))
+    refused = np.flatnonzero(~((NORM_FLOOR < weight) & (weight < np.inf)))
     if refused.size:
         i = refused[0]
-        conditioning_scale(float(weight[i]), f"pointer reading {float(xs[js[i]])!r}", floor=1e-300)
+        conditioning_scale(float(weight[i]), f"pointer reading {float(xs[js[i]])!r}", floor=NORM_FLOOR)
     scale = 1.0 / np.sqrt(weight)
     # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
     return js, kept, re * scale - im * 0.0, re * 0.0 + im * scale

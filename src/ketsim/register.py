@@ -213,7 +213,7 @@ class StateVector:
 
     def normalized(self) -> "StateVector":
         n = self.norm()
-        if n < 1e-12:
+        if not 1e-12 <= n < math.inf:
             raise ValueError("cannot normalize a zero state")
         return StateVector(self.register, {k: a / n for k, a in self.amplitudes.items()})
 
@@ -247,7 +247,7 @@ def superpose(
     if normalize:
         return state.normalized()
     n = state.norm()
-    if abs(n - 1.0) > NORM_TOL:
+    if not abs(n - 1.0) <= NORM_TOL:
         raise ValueError(f"norm is {n!r}, not 1 within {NORM_TOL} (pass normalize=True?)")
     return state
 

@@ -92,7 +92,7 @@ def make_step(
         subsystem, probs = distribution
         probs = {k: float(p) for k, p in probs.items()}
         total = fold_sum(probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"step distribution sums to {total!r}, not 1 within 1e-9")
         step["distribution"] = {"subsystem": subsystem, "probabilities": probs}
     if events:

@@ -49,6 +49,16 @@ def _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps):
     return GridWavefunction(n, lo, hi, tray).normalized(), spoon
 
 
+def _spreads(wf, when, checks):
+    """(mean x, std x, std p) of wf; appends its parseval_<when> and uncertainty_<when> checks."""
+    mean_x, std_x = moments(wf)
+    ps, probs = momentum_spectrum(wf)
+    std_p = moments((ps, probs))[1]
+    checks.append(Check(f"parseval_{when}", "abs", 1.0, float(probs.sum()), 1e-9, "unitary-transform identity"))
+    checks.append(Check(f"uncertainty_{when}", "ge", 0.5, std_x * std_p, 1e-3, "uncertainty lower bound"))
+    return mean_x, std_x, std_p
+
+
 def _run_dicke(params, seed):
     big, small = params["l_tray"], params["l_spoon"]
     x_tray, x_spoon = params["x_tray"], params["x_spoon"]
@@ -63,15 +73,7 @@ def _run_dicke(params, seed):
     n = params["n"] if params["n"] > 0 else fine_grid_size(hi - lo, small / 8.0)
     wf, spoon_packet = _tray_and_spoon(n, lo, hi, big, small, x_tray, x_spoon, eps)
     checks = []
-
-    mean_x, std_x = moments(wf)
-    ps, probs = momentum_spectrum(wf)
-    mean_p, std_p_pre = moments((ps, probs))
-    parseval_pre = float(probs.sum())
-    checks.append(Check("parseval_pre", "abs", 1.0, parseval_pre, 1e-9, "unitary-transform identity"))
-    checks.append(
-        Check("uncertainty_pre", "ge", 0.5, std_x * std_p_pre, 1e-3, "uncertainty lower bound")
-    )
+    mean_x, std_x, std_p_pre = _spreads(wf, "pre", checks)
     spoon_window = (x_spoon - half * small, x_spoon + half * small)
     with guard("faraway-window mass"):
         p_spoon_pre, _ = window_project(wf, spoon_window, keep_inside=True)
@@ -107,14 +109,7 @@ def _run_dicke(params, seed):
               "Gaussian-overlap closed form")
     )
 
-    mean_x_post, std_x_post = moments(post)
-    ps2, probs2 = momentum_spectrum(post)
-    _mean_p2, std_p_post = moments((ps2, probs2))
-    parseval_post = float(probs2.sum())
-    checks.append(Check("parseval_post", "abs", 1.0, parseval_post, 1e-9, "unitary-transform identity"))
-    checks.append(
-        Check("uncertainty_post", "ge", 0.5, std_x_post * std_p_post, 1e-3, "uncertainty lower bound")
-    )
+    mean_x_post, std_x_post, std_p_post = _spreads(post, "post", checks)
     ratio = std_p_post / std_p_pre
     width_ratio = big / small
     checks.append(

@@ -244,16 +244,51 @@ def test_no_command_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-def test_python_dash_m_ketsim_runs_the_cli():
+# `python -m ketsim` as a child process: (argv, exit code, stderr prefix or
+# None). An --out argument names a file under the test's tmp_path.
+PROCESS_CASES = [
+    (("run", "qo_core"), 0, None),
+    (("list",), 0, None),
+    (("list", "--format", "json"), 0, None),
+    (("run", "nope"), 2, "ketsim: "),
+    (("run", "qo_core", "--param", "bogus=1"), 2, "ketsim: "),
+    # the README's sweep, every point's report written to an --out file
+    (("sweep", "zeno_basic", "--param", "alpha=0.157:0.0785:3", "--format", "json", "--out", "zeno.json"), 0, None),
+    (("run", "qo_core", "--out", "missing/r.json"), 2, "ketsim: cannot write --out "),
+    # a spoon wider than a tenth of the tray is refused past the schema
+    (("run", "dicke_tray_spoon", "--param", "l_spoon=0.5"), 2, "ketsim: "),
+    # n=10000 resolves the spoon but is not a power of two; n=1000 is too
+    # coarse for it, and the spacing refusal comes first
+    (("run", "dicke_tray_spoon", "--param", "n=10000"), 2, "ketsim: sample count must be a power of two"),
+    (("run", "dicke_tray_spoon", "--param", "n=1000"), 2, "ketsim: grid spacing 0.022 of n=1000 does not resolve"),
+    # a single-shot pointer too wide to resolve: the step is named
+    (
+        ("run", "weak_ensemble", "--param", "sigma_single=1e40", "--param", "n_shots=200", "--param", "singles=20"),
+        3, "ketsim: scenario 'weak_ensemble' failed at step 'gentle single shots': ",
+    ),
+    # alpha's low bound derives 127 cycles, the most the schema admits
+    (("run", "zeno_basic", "--param", "alpha=0.0124"), 0, None),
+    (("sweep", "weak_ensemble", "--param", "g=0.5:1.5:10", "--param", "n_shots=1000", "--out", "weak.csv"), 0, None),
+]
+
+
+@pytest.mark.parametrize("argv, rc, prefix", PROCESS_CASES, ids=[" ".join(c[0]) for c in PROCESS_CASES])
+def test_python_dash_m_ketsim_exit_code(tmp_path, argv, rc, prefix):
     src = str(Path(ketsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = argv.index("--out") + 1 if "--out" in argv else None
+    if out:
+        argv = (*argv[:out], str(tmp_path / argv[out]), *argv[out + 1:])
     proc = subprocess.run(
-        [sys.executable, "-m", "ketsim", "run", "qo_core", "--param", "bogus=1"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "ketsim", *argv], capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("ketsim: ")
+    assert proc.returncode == rc, proc.stderr
+    if rc:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""
+        assert (Path(argv[out]).read_text() if out else proc.stdout) != ""
 
 
 def test_sweep_zeno_alpha_monotone(capsys):

@@ -639,8 +639,3 @@ def test_refusal_names_the_outcome_verbatim():
     # the outcome is never %-formatted, so a '%' in it stays as it is
     with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome '50%' has"):
         conditioning_scale(0.0, "partial outcome '50%'")
-
-
-def test_a_nan_weight_is_refused_not_conditioned_on():
-    with pytest.raises(ImpossibleOutcomeError, match="^outcome has Born weight nan"):
-        conditioning_scale(math.nan, "outcome")
