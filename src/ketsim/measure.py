@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -24,6 +23,7 @@ from .register import (
     PRUNE_TOL,
     Register,
     StateVector,
+    born_weight,
     fold_sum,
     matches,
 )
@@ -67,7 +67,7 @@ def born_probabilities(state: StateVector, subsystem: str) -> dict[str, float]:
 def joint_probability(state: StateVector, assignments: Mapping[str, str]) -> float:
     """Born weight of a partial assignment, without projecting."""
     items = state.register.partial_items(assignments)
-    return float(fold_sum(abs(a) ** 2 for k, a in state.amplitudes.items() if matches(k, items)))
+    return float(born_weight(a for k, a in state.amplitudes.items() if matches(k, items)))
 
 
 def recombine_probability(
@@ -93,11 +93,11 @@ def _condition(register: Register, image: dict, outcome: str | Callable[[], str]
     image: the conditioning rule of every projection, post-selection and
     partial outcome.
 
-    The weight adds every |a|^2 of the image in order; the post state keeps
-    each amplitude above PRUNE_TOL, scaled by conditioning_scale(weight).
+    The weight is the image's born_weight; the post state keeps each
+    amplitude above PRUNE_TOL, scaled by conditioning_scale(weight).
     `outcome` names the outcome, or is a function that names it on refusal.
     """
-    weight = float(fold_sum(abs(a) ** 2 for a in image.values()))
+    weight = float(born_weight(image.values()))
     scale = conditioning_scale(weight, outcome)
     return weight, StateVector(register, {k: a * scale for k, a in image.items() if abs(a) > PRUNE_TOL})
 
@@ -221,7 +221,8 @@ class WeakJointState:
     keys lists the populated system keys, in the state's order. Row k of the
     complex (len(keys), n) block `pointers` is key k's (unnormalized) pointer
     amplitude array, with the system amplitude folded in, so the total norm
-    sum_k sum_j |pointers[k, j]|^2 dx is 1.
+    sum_k sum_j |pointers[k, j]|^2 dx is 1. A joint is a plain value: every
+    readout builds its cdf afresh (_draw) and leaves the joint as it was.
     """
 
     register: Register
@@ -241,28 +242,6 @@ class WeakJointState:
 
     def norm_sq(self) -> float:
         return float(fold_sum(np.sum(np.abs(self.pointers) ** 2, axis=1)) * self.dx)
-
-    @cached_property
-    def _sampler(self) -> tuple[np.ndarray, np.ndarray]:
-        """(position cdf, position grid), built once.
-
-        The cdf is normalized the way Generator.choice(p=...) normalizes it, so
-        a searchsorted draw of one uniform picks the index choice would pick.
-        A total weight that conditioning_scale refuses raises here on every
-        access: a cached_property caches only a returned value. The arithmetic
-        runs row by row, in place, in the order of sum(|row|^2) * dx / total,
-        so it holds two n-point arrays.
-        """
-        density = np.zeros(self.n)
-        for row in self.pointers:
-            density += _density(row)
-        density *= self.dx
-        total = float(density.sum())
-        conditioning_scale(total, "pointer sampling")
-        density /= total
-        cdf = np.cumsum(density, out=density)
-        cdf /= cdf[-1]
-        return cdf, grid_xs(self.n, self.x_min, self.x_max)
 
 
 def weak_measure(
@@ -317,28 +296,27 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
     pointer barely disturbs the system; ensemble means of readings divided by
     g recover the observable's expectation value. This is one shot of
     _collapse_shots, the conditioning rule that pointer_fidelities batches.
+    Each call builds the joint's cdf; for many shots use the batch functions.
     `seed`: anything numpy.random.default_rng takes (a Generator is used as is).
     """
-    (j,), kept, re, im = _collapse_shots(joint, seed, 1)
+    (reading,), kept, re, im = _collapse_shots(joint, seed, 1)
     post = {
         k: complex(a, b)
         for k, keep, a, b in zip(joint.keys, kept[:, 0].tolist(), re[:, 0].tolist(), im[:, 0].tolist())
         if keep
     }
-    return float(joint._sampler[1][j]), StateVector(joint.register, post)
+    return float(reading), StateVector(joint.register, post)
 
 
 def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
     """Draw `shots` pointer positions at once, without collapsing the system.
 
     Consumes the generator exactly as `shots` successive read_pointer calls
-    do and returns the same readings; use it when only the readings matter.
-    The draw is _draw_indices': one uniform per shot, the uniforms located
-    in the cdf in sorted order and each index put back at its shot.
-    `seed`: anything numpy.random.default_rng takes, as for read_pointer.
+    do and returns the same readings (both draw through _draw); use it when
+    only the readings matter. `seed`: anything numpy.random.default_rng
+    takes, as for read_pointer.
     """
-    cdf, xs = joint._sampler
-    return xs[_draw_indices(cdf, np.random.default_rng(seed).random(shots))]
+    return _draw(joint, seed, shots)[1]
 
 
 def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: int) -> np.ndarray:
@@ -389,24 +367,38 @@ def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return js
 
 
-def _collapse_shots(joint: WeakJointState, seed, shots: int):
-    """Draw `shots` pointer positions and condition the system on each: the
-    conditioning rule of every pointer readout.
+def _draw(joint: WeakJointState, seed, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid indices, readings) of `shots` positions drawn from the joint's
+    position density: the draw of every pointer readout.
 
-    The positions are drawn as pointer_readings draws them: the shots'
-    uniforms are sorted, located by one searchsorted(side="right") call and
-    scattered back (_draw_indices), which gives the plain call's indices.
-    Returns (js, kept, re, im). js holds each shot's grid index; kept, re
-    and im have one row per row of joint.pointers and one column per shot.
-    kept says whether the branch survives pruning, and re and im hold its
-    post-readout amplitude where it does. Each shot gives
-    the bits of prune, a fold_sum weight, conditioning_scale and a * scale
-    over that shot's amplitudes. The position was drawn from the density,
-    so its weight is positive; NORM_FLOOR only rejects a sample whose
-    amplitudes underflow to zero, and names the first such reading.
+    The rows' densities are added row by row into one n-point array, whose
+    in-place cumsum is the cdf: its weight cdf[-1] * dx goes through
+    conditioning_scale, and it is divided by its last entry once.
     """
-    cdf, xs = joint._sampler
+    cdf = np.zeros(joint.n)
+    for row in joint.pointers:
+        cdf += _density(row)
+    np.cumsum(cdf, out=cdf)
+    conditioning_scale(float(cdf[-1]) * joint.dx, "pointer sampling")
+    cdf /= cdf[-1]
     js = _draw_indices(cdf, np.random.default_rng(seed).random(shots))
+    return js, grid_xs(joint.n, joint.x_min, joint.x_max)[js]
+
+
+def _collapse_shots(joint: WeakJointState, seed, shots: int):
+    """Draw `shots` pointer positions (_draw) and condition the system on
+    each: the conditioning rule of every pointer readout.
+
+    Returns (readings, kept, re, im). readings holds each shot's position;
+    kept, re and im have one row per row of joint.pointers and one column
+    per shot. kept says whether the branch survives pruning, and re and im
+    hold its post-readout amplitude where it does. Each shot gives the bits
+    of prune, a fold_sum weight, conditioning_scale and a * scale over that
+    shot's amplitudes. The position was drawn from the density, so its
+    weight is positive; NORM_FLOOR only rejects a sample whose amplitudes
+    underflow to zero, and names the first such reading.
+    """
+    js, readings = _draw(joint, seed, shots)
     column = joint.pointers[:, js]
     re, im = column.real, column.imag
     mag = np.hypot(re, im)
@@ -415,8 +407,8 @@ def _collapse_shots(joint: WeakJointState, seed, shots: int):
     refused = np.flatnonzero(~((NORM_FLOOR < weight) & (weight < np.inf)))
     if refused.size:
         i = refused[0]
-        conditioning_scale(float(weight[i]), f"pointer reading {float(xs[js[i]])!r}", floor=NORM_FLOOR)
+        conditioning_scale(float(weight[i]), f"pointer reading {float(readings[i])!r}", floor=NORM_FLOOR)
     scale = 1.0 / np.sqrt(weight)
     # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
-    return js, kept, re * scale - im * 0.0, re * 0.0 + im * scale
+    return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
 

@@ -190,6 +190,15 @@ def fold_sum(terms):
     return reduce(add, terms, 0)
 
 
+def born_weight(amplitudes):
+    """fold_sum of abs(a) ** 2 over the amplitudes, left to right; inf where
+    Python's float ** would raise OverflowError, so a refusal can name it."""
+    try:
+        return fold_sum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:
+        return math.inf
+
+
 def matches(key: tuple[int, ...], items: tuple[tuple[int, int], ...]) -> bool:
     """True if the joint key agrees with every (subsystem, label) constraint."""
     for si, li in items:
@@ -209,12 +218,12 @@ class StateVector:
     amplitudes: dict[tuple[int, ...], complex]
 
     def norm(self) -> float:
-        return math.sqrt(fold_sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(born_weight(self.amplitudes.values()))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if not 1e-12 <= n < math.inf:
-            raise ValueError("cannot normalize a zero state")
+            raise ValueError(f"cannot normalize a state of norm {n!r}")
         return StateVector(self.register, {k: a / n for k, a in self.amplitudes.items()})
 
     def support(self) -> int:

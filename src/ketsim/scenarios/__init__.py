@@ -26,6 +26,8 @@ from ..report import ScenarioReport
 _S = 1.0 / math.sqrt(2.0)
 # Two-level Hadamard matrix, the basis change the catalog's interferometers share.
 HADAMARD = ((_S, _S), (_S, -_S))
+# sqrt(5), in which the annihilation and collision spectra are written.
+SQRT5 = math.sqrt(5.0)
 
 
 @dataclass(frozen=True)

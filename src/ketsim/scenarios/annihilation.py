@@ -17,13 +17,12 @@ from ..evolve import apply_basis_change, apply_split, controlled_relabel
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project, recombine_probability
 from ..register import amplitude, fidelity, new_register, superpose
 from ..report import Check, make_step
-from . import HADAMARD, Scenario, guard
+from . import HADAMARD, SQRT5, Scenario, guard
 
-_SQRT5 = math.sqrt(5.0)
 # Spectrum of the three-branch reduced state; its entropy in bits.
-LAMBDA_MAJOR = (3.0 + _SQRT5) / 6.0
-LAMBDA_MINOR = (3.0 - _SQRT5) / 6.0
-THREE_BRANCH_ENTROPY = -(LAMBDA_MAJOR * math.log2(LAMBDA_MAJOR) + LAMBDA_MINOR * math.log2(LAMBDA_MINOR))
+LAMBDA_MAJOR = (3.0 + SQRT5) / 6.0
+LAMBDA_MINOR = (3.0 - SQRT5) / 6.0
+THREE_BRANCH_ENTROPY = entropy((LAMBDA_MAJOR, LAMBDA_MINOR))
 
 
 def _annihilation_window(state, electron_arm, pair, det):

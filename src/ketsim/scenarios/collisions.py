@@ -12,19 +12,16 @@ surviving branch has amplitude 1/2) and by-hand Gram eigenvalues.
 
 from __future__ import annotations
 
-import math
-
 from ..entangle import cut_entropy, entropy, schmidt
 from ..evolve import OpLog, apply_split, controlled_relabel, time_reverse
 from ..measure import born_probabilities, joint_probability, postselect, postselect_out, project, recombine_probability
 from ..register import fidelity, new_register, superpose
 from ..report import Check, make_step
-from . import Scenario, guard
+from . import SQRT5, Scenario, guard
 
-_SQRT5 = math.sqrt(5.0)
 # A1-cut spectrum after the first crossing only: one branch fully marked,
 # the other three still sharing a label.
-POST_T1_SPECTRUM = ((3.0 + _SQRT5) / 8.0, 0.25, (3.0 - _SQRT5) / 8.0)
+POST_T1_SPECTRUM = ((3.0 + SQRT5) / 8.0, 0.25, (3.0 - SQRT5) / 8.0)
 # A1-cut spectrum once both crossings are done.
 FINAL_SPECTRUM = (0.75, 0.25)
 

@@ -202,11 +202,16 @@ def reference_dumps_json(obj) -> str:
 
 # Reference pointer readout: each shot conditioned in Python scalars, as
 # measure.read_pointer and measure.pointer_fidelities did before they shared
-# one numpy batch. The batch must give these bits exactly.
+# one numpy batch. The draw builds its cdf out of place and normalizes it
+# twice, by the weight and then by the last entry, where measure._draw
+# normalizes once in place. The batch must give these bits exactly.
 def _ref_shots(joint, seed, shots: int):
     """(reading, column) for each of `shots` successive pointer draws, where
     column holds each key's pointer amplitude at the drawn position."""
-    cdf, xs = joint._sampler
+    density = sum(np.abs(row) ** 2 for row in joint.pointers) * joint.dx
+    cdf = np.cumsum(density / float(density.sum()))
+    cdf /= cdf[-1]
+    xs = joint.x_min + joint.dx * np.arange(joint.n)
     js = cdf.searchsorted(np.random.default_rng(seed).random(shots), side="right")
     return zip(xs[js].tolist(), zip(*(arr[js].tolist() for arr in joint.pointers)))
 

@@ -29,6 +29,7 @@ from ketsim import (
     superpose,
     weak_measure,
 )
+from ketsim import measure
 from ketsim.errors import conditioning_scale
 from ketsim.grid import gaussian_packet, grid_xs
 from ketsim.measure import WeakJointState
@@ -512,7 +513,9 @@ def check_pointer_batch_identities(seed: int) -> collections.Counter:
     seen["squares"] += x.size
     seen["subnormal inputs"] += int(np.count_nonzero((x != 0) & (np.abs(x) < 2.2250738585072014e-308)))
 
-    cdf = balanced_joint()._sampler[0]
+    joint = balanced_joint()
+    cdf = np.cumsum(sum(np.abs(row) ** 2 for row in joint.pointers))
+    cdf /= cdf[-1]
     assert cdf[-2] == cdf[-1] == 1.0  # the right tail is a plateau
     # Half the u are fresh; the rest repeat a pool of cdf entries and others.
     pool = np.concatenate([cdf[rng.integers(cdf.size, size=64)], rng.random(64), [0.0]])
@@ -570,8 +573,8 @@ def test_pointer_batch_refuses_the_first_underflowing_shot_as_the_oracle_does():
     assert later > 0  # some refused shot was not the first one
 
 
-def test_weak_joint_arrays_match_out_of_place_formulas():
-    # weak_measure and the sampler run in place to save n-point arrays; the
+def test_weak_joint_arrays_match_out_of_place_formulas(monkeypatch):
+    # weak_measure and the draw run in place to save n-point arrays; the
     # out-of-place expressions they replace must give the same bits.
     reg = spin_register()
     state = superpose(
@@ -588,10 +591,27 @@ def test_weak_joint_arrays_match_out_of_place_formulas():
         center = params.g if key[0] == 0 else -params.g
         packet = gaussian_packet(joint.n, joint.x_min, joint.x_max, center, params.sigma)
         assert np.array_equal(joint.pointers[joint.keys.index(key)].view(float), (amp * packet.amplitudes).view(float))
-    density = sum(np.abs(arr) ** 2 for arr in joint.pointers) * joint.dx
-    cdf = (density / float(density.sum())).cumsum()
+    cdfs = []
+    draw_indices = measure._draw_indices
+
+    def keep_cdf(cdf, u):
+        cdfs.append(cdf.copy())
+        return draw_indices(cdf, u)
+
+    monkeypatch.setattr(measure, "_draw_indices", keep_cdf)
+    js, readings = measure._draw(joint, 0, 8)
+    cdf = np.cumsum(sum(np.abs(arr) ** 2 for arr in joint.pointers))
     cdf /= cdf[-1]
-    assert np.array_equal(joint._sampler[0], cdf)
+    assert len(cdfs) == 1 and np.array_equal(cdfs[0], cdf)
+    assert np.array_equal(js, cdf.searchsorted(np.random.default_rng(0).random(8), side="right"))
+    assert np.array_equal(readings, grid_xs(joint.n, joint.x_min, joint.x_max)[js])
+    # Dividing the density by its weight before the cumsum as well rounds the
+    # cdf differently, but must not move a drawn index.
+    density = sum(np.abs(arr) ** 2 for arr in joint.pointers) * joint.dx
+    twice = (density / float(density.sum())).cumsum()
+    twice /= twice[-1]
+    u = np.random.default_rng(1).random(1_000_000)
+    assert np.array_equal(cdf.searchsorted(u, side="right"), twice.searchsorted(u, side="right"))
 
 
 def test_zero_weight_joint_raises_on_every_call():
@@ -605,6 +625,22 @@ def test_zero_weight_joint_raises_on_every_call():
             pointer_readings(joint, 0, 10)
         with pytest.raises(ImpossibleOutcomeError):
             pointer_fidelities(joint, superpose(reg, [(1.0, {"spin": "up", "tag": "t0"})]), 0, 10)
+
+
+def test_a_readout_leaves_the_joint_as_it_found_it():
+    # A joint is a plain value: no readout caches anything on it.
+    joint = balanced_joint()
+    ref = superpose(joint.register, [(1.0, {"spin": "up", "tag": "t0"})])
+    before, block = dict(vars(joint)), joint.pointers.tobytes()
+    for readout in (
+        lambda: read_pointer(joint, 0),
+        lambda: pointer_readings(joint, 0, 10),
+        lambda: pointer_fidelities(joint, ref, 0, 10),
+    ):
+        readout()
+        assert vars(joint).keys() == before.keys()
+        assert all(vars(joint)[name] is value for name, value in before.items())
+        assert joint.pointers.tobytes() == block
 
 
 def test_weak_joint_refuses_a_block_of_the_wrong_shape():
@@ -628,7 +664,7 @@ def test_sampler_adds_the_rows_one_at_a_time():
     joint = WeakJointState(reg, n, -1.0, 1.0, keys, block)
     tracemalloc.start()
     try:
-        joint._sampler
+        measure._draw(joint, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

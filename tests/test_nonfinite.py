@@ -1,5 +1,6 @@
 """A NaN or infinite weight is refused by name wherever ketsim would scale,
-sample or accept by it: no call returns NaN amplitudes in its place."""
+sample or accept by it: no call returns NaN amplitudes in its place, and a
+finite amplitude whose square overflows weighs inf, not an OverflowError."""
 
 import math
 
@@ -15,6 +16,7 @@ from ketsim import (
     new_register,
     postselect,
     read_pointer,
+    superpose,
     window_project,
 )
 from ketsim.errors import conditioning_scale
@@ -60,7 +62,7 @@ CASES = {
     "SchmidtSpectrum": (lambda w: SchmidtSpectrum((w,)), ValueError, "coefficients "),
     "StateVector.normalized": (
         lambda w: StateVector(REG, {UP: complex(w), DOWN: 1.0}).normalized(),
-        ValueError, "cannot normalize a zero state",
+        ValueError, "cannot normalize a state of norm {w}",
     ),
 }
 
@@ -72,6 +74,25 @@ def test_a_nonfinite_weight_is_refused_by_name(case, w):
     with pytest.raises(error) as excinfo:
         call(w)
     assert str(excinfo.value).startswith(prefix.format(w=w))
+
+
+# The sparse rows, and superpose, on an amplitude of 1e200: Python's float **
+# overflows on its square, where the refusal must name a weight or norm of inf.
+OVERFLOW_CASES = {
+    "superpose": (
+        lambda w: superpose(REG, [(w, {"s": "u"})]),
+        ValueError, "cannot normalize a state of norm {w}",
+    ),
+    **{case: CASES[case] for case in ("postselect", "MeasurementRecord", "StateVector.normalized")},
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_an_amplitude_whose_square_overflows_weighs_inf(case):
+    call, error, prefix = OVERFLOW_CASES[case]
+    with pytest.raises(error) as excinfo:
+        call(1e200)
+    assert str(excinfo.value).startswith(prefix.format(w=math.inf))
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
