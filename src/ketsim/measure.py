@@ -2,9 +2,11 @@
 and recombination (the source port's joint_probability after a return split).
 
 Everything here is a pure transformation; randomness enters only through a
-caller-supplied seed or numpy Generator, so runs replay exactly. Projections
-renormalize, and an outcome whose Born weight falls at or below the 1e-12
-floor raises ImpossibleOutcomeError rather than returning NaN amplitudes.
+caller-supplied seed or numpy Generator, so runs replay exactly. Every readout
+conditions by one rule (_condition): prune the outcome's image, weigh the kept
+branches, refuse a weight at or below the floor (1e-12 for an outcome,
+NORM_FLOOR for a pointer reading) with ImpossibleOutcomeError rather than
+return NaN amplitudes, and scale the kept branches by 1/sqrt(weight).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .register import (
     born_weight,
     fold_sum,
     matches,
+    prune,
 )
 
 
@@ -59,8 +62,11 @@ def born_probabilities(state: StateVector, subsystem: str) -> dict[str, float]:
     si = state.register.index(subsystem)
     labels = state.register.subsystems[si].labels
     acc = [0.0] * len(labels)
-    for key, amp in state.amplitudes.items():
-        acc[key[si]] += abs(amp) ** 2
+    try:
+        for key, amp in state.amplitudes.items():
+            acc[key[si]] += abs(amp) ** 2
+    except OverflowError:  # born_weight makes the same fold per label, and weighs a square's overflow inf
+        acc = [float(born_weight(a for k, a in state.amplitudes.items() if k[si] == i)) for i in range(len(labels))]
     return {labels[i]: w for i, w in enumerate(acc) if w > 0.0}
 
 
@@ -88,18 +94,23 @@ def recombine_probability(
     return joint_probability(apply_split(state, subsystem, source_label, pair), {subsystem: source_label})
 
 
-def _condition(register: Register, image: dict, outcome: str | Callable[[], str]) -> tuple[float, StateVector]:
+def _condition(
+    register: Register, image: dict, outcome: str | Callable[[], str], floor: float = PROB_FLOOR
+) -> tuple[float, StateVector]:
     """(Born weight, normalized post state) of an outcome's unnormalized
-    image: the conditioning rule of every projection, post-selection and
-    partial outcome.
+    image: the one conditioning rule of every projection, post-selection,
+    null result, partial outcome and pointer reading.
 
-    The weight is the image's born_weight; the post state keeps each
-    amplitude above PRUNE_TOL, scaled by conditioning_scale(weight).
-    `outcome` names the outcome, or is a function that names it on refusal.
+    The image is pruned (register.prune, which keeps a NaN branch), the kept
+    branches are weighed with born_weight, conditioning_scale(weight, outcome,
+    floor=floor) refuses the weight or gives the scale, and each kept
+    amplitude is multiplied by it. `outcome` names the outcome, or is a
+    function that names it on refusal.
     """
-    weight = float(born_weight(image.values()))
-    scale = conditioning_scale(weight, outcome)
-    return weight, StateVector(register, {k: a * scale for k, a in image.items() if abs(a) > PRUNE_TOL})
+    kept = prune(image)
+    weight = float(born_weight(kept.values()))
+    scale = conditioning_scale(weight, outcome, floor=floor)
+    return weight, StateVector(register, {k: a * scale for k, a in kept.items()})
 
 
 def _conditioned(
@@ -294,18 +305,17 @@ def read_pointer(joint: WeakJointState, seed) -> tuple[float, StateVector]:
 
     Returns (position reading, normalized post-readout system state). A wide
     pointer barely disturbs the system; ensemble means of readings divided by
-    g recover the observable's expectation value. This is one shot of
-    _collapse_shots, the conditioning rule that pointer_fidelities batches.
-    Each call builds the joint's cdf; for many shots use the batch functions.
+    g recover the observable's expectation value. One index is drawn (_draw),
+    and the block's column there, as a {key: amplitude} image, is conditioned
+    by _condition with the NORM_FLOOR floor. Each call builds the joint's cdf;
+    for many shots use the batch functions.
     `seed`: anything numpy.random.default_rng takes (a Generator is used as is).
     """
-    (reading,), kept, re, im = _collapse_shots(joint, seed, 1)
-    post = {
-        k: complex(a, b)
-        for k, keep, a, b in zip(joint.keys, kept[:, 0].tolist(), re[:, 0].tolist(), im[:, 0].tolist())
-        if keep
-    }
-    return float(reading), StateVector(joint.register, post)
+    (j,), (reading,) = _draw(joint, seed, 1)
+    reading = float(reading)
+    image = dict(zip(joint.keys, joint.pointers[:, j].tolist()))
+    _, post = _condition(joint.register, image, lambda: f"pointer reading {reading!r}", NORM_FLOOR)
+    return reading, post
 
 
 def pointer_readings(joint: WeakJointState, seed, shots: int) -> np.ndarray:
@@ -324,18 +334,32 @@ def pointer_fidelities(joint: WeakJointState, state: StateVector, seed, shots: i
 
     Returns a float64 array of fidelity(read_pointer(joint, rng)[1], state)
     for `shots` successive calls, bit for bit, and leaves the generator where
-    those calls leave it. All shots are drawn and conditioned in one
-    _collapse_shots batch, and each overlap adds its terms in
-    amplitude_overlap's order: the post state's keys, in joint order. A pruned
-    branch's term is masked to zero and a key absent from `state` gives zero:
-    a zero moves no magnitude. `seed`: anything numpy.random.default_rng takes.
+    those calls leave it. All shots are drawn at once (_draw) and conditioned
+    in one numpy batch that gives, shot by shot, the bits of _condition on the
+    drawn column: prune, a fold_sum weight, conditioning_scale with the
+    NORM_FLOOR floor (naming the first refused reading) and a * scale. Each
+    overlap adds its terms in amplitude_overlap's order: the post state's
+    keys, in joint order. A pruned branch's term is masked to zero and a key
+    absent from `state` gives zero: a zero moves no magnitude. `seed`:
+    anything numpy.random.default_rng takes.
     """
     if state.register != joint.register:
         raise ValueError("states live on different registers")
-    _, kept, re, im = _collapse_shots(joint, seed, shots)
+    js, readings = _draw(joint, seed, shots)
+    column = joint.pointers[:, js]
+    re, im = column.real, column.imag
+    mag = np.hypot(re, im)
+    kept = ~(mag <= PRUNE_TOL)
+    weight = np.cumsum(np.where(kept, np.float_power(mag, 2.0), 0.0), axis=0)[-1]
+    refused = np.flatnonzero(~((NORM_FLOOR < weight) & (weight < np.inf)))
+    if refused.size:
+        i = refused[0]
+        conditioning_scale(float(weight[i]), f"pointer reading {float(readings[i])!r}", floor=NORM_FLOOR)
+    scale = 1.0 / np.sqrt(weight)
+    # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s); then conj(p) * b
+    # = (pr*br - (-pi)*bi, pr*bi + (-pi)*br) with pr, pi those two parts.
+    re, npi = re * scale - im * 0.0, -(re * 0.0 + im * scale)
     b = np.array([complex(state.amplitudes.get(k, 0.0)) for k in joint.keys])[:, None]
-    npi = -im
-    # conj(p) * b = (pr*br - (-pi)*bi, pr*bi + (-pi)*br)
     acc_re = np.cumsum(np.where(kept, re * b.real - npi * b.imag, 0.0), axis=0)[-1]
     acc_im = np.cumsum(np.where(kept, re * b.imag + npi * b.real, 0.0), axis=0)[-1]
     return np.float_power(np.hypot(acc_re, acc_im), 2.0)
@@ -383,32 +407,3 @@ def _draw(joint: WeakJointState, seed, shots: int) -> tuple[np.ndarray, np.ndarr
     cdf /= cdf[-1]
     js = _draw_indices(cdf, np.random.default_rng(seed).random(shots))
     return js, grid_xs(joint.n, joint.x_min, joint.x_max)[js]
-
-
-def _collapse_shots(joint: WeakJointState, seed, shots: int):
-    """Draw `shots` pointer positions (_draw) and condition the system on
-    each: the conditioning rule of every pointer readout.
-
-    Returns (readings, kept, re, im). readings holds each shot's position;
-    kept, re and im have one row per row of joint.pointers and one column
-    per shot. kept says whether the branch survives pruning, and re and im
-    hold its post-readout amplitude where it does. Each shot gives the bits
-    of prune, a fold_sum weight, conditioning_scale and a * scale over that
-    shot's amplitudes. The position was drawn from the density, so its
-    weight is positive; NORM_FLOOR only rejects a sample whose amplitudes
-    underflow to zero, and names the first such reading.
-    """
-    js, readings = _draw(joint, seed, shots)
-    column = joint.pointers[:, js]
-    re, im = column.real, column.imag
-    mag = np.hypot(re, im)
-    kept = mag > PRUNE_TOL
-    weight = np.cumsum(np.where(kept, np.float_power(mag, 2.0), 0.0), axis=0)[-1]
-    refused = np.flatnonzero(~((NORM_FLOOR < weight) & (weight < np.inf)))
-    if refused.size:
-        i = refused[0]
-        conditioning_scale(float(weight[i]), f"pointer reading {float(readings[i])!r}", floor=NORM_FLOOR)
-    scale = 1.0 / np.sqrt(weight)
-    # a * scale for complex a: (re*s - im*0.0, re*0.0 + im*s)
-    return readings, kept, re * scale - im * 0.0, re * 0.0 + im * scale
-

@@ -231,7 +231,9 @@ class StateVector:
 
 
 def prune(amplitudes: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
-    return {k: a for k, a in amplitudes.items() if abs(a) > PRUNE_TOL}
+    """Drop every amplitude of magnitude at most PRUNE_TOL; a NaN is kept, so
+    a weight taken afterwards refuses it."""
+    return {k: a for k, a in amplitudes.items() if not abs(a) <= PRUNE_TOL}
 
 
 def superpose(

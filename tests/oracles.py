@@ -200,11 +200,13 @@ def reference_dumps_json(obj) -> str:
     return "".join(out)
 
 
-# Reference pointer readout: each shot conditioned in Python scalars, as
-# measure.read_pointer and measure.pointer_fidelities did before they shared
-# one numpy batch. The draw builds its cdf out of place and normalizes it
-# twice, by the weight and then by the last entry, where measure._draw
-# normalizes once in place. The batch must give these bits exactly.
+# Reference pointer readout: each shot conditioned in Python scalars by the
+# one rule (prune, weigh the kept branches, refuse, scale), written out here
+# rather than called through measure._condition, so it checks read_pointer's
+# use of that rule and pointer_fidelities' numpy batch of it independently.
+# The draw builds its cdf out of place and normalizes it twice, by the weight
+# and then by the last entry, where measure._draw normalizes once in place.
+# Both readouts must give these bits exactly.
 def _ref_shots(joint, seed, shots: int):
     """(reading, column) for each of `shots` successive pointer draws, where
     column holds each key's pointer amplitude at the drawn position."""

@@ -33,7 +33,7 @@ from ketsim import measure
 from ketsim.errors import conditioning_scale
 from ketsim.grid import gaussian_packet, grid_xs
 from ketsim.measure import WeakJointState
-from ketsim.register import fold_sum
+from ketsim.register import fold_sum, prune
 
 import numpy_baseline
 import oracles
@@ -675,3 +675,62 @@ def test_refusal_names_the_outcome_verbatim():
     # the outcome is never %-formatted, so a '%' in it stays as it is
     with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome '50%' has"):
         conditioning_scale(0.0, "partial outcome '50%'")
+
+
+# One conditioning rule (measure._condition): prune the image, weigh the kept
+# branches, refuse through conditioning_scale, scale the kept branches.
+
+
+def test_an_image_of_dust_alone_weighs_0():
+    # Fails at 20aa2f2, which weighed the 1e-16 branch before pruning it and
+    # was refused as "has Born weight 1e-32".
+    reg = new_register([("s", ("u", "d"))])
+    state = StateVector(reg, {(0,): 1e-16 + 0j, (1,): 1.0 + 0j})
+    with pytest.raises(ImpossibleOutcomeError, match=r"^\{'s': 'u'\} has Born weight 0;"):
+        postselect(state, {"s": "u"})
+    with pytest.raises(ImpossibleOutcomeError, match=r"^complement of \{'s': 'd'\} has Born weight 0;"):
+        postselect_out(state, {"s": "d"})
+
+
+def test_a_nan_branch_is_kept_by_prune_and_refused_by_name():
+    # The refusals pass at 20aa2f2 too; the prune assertion fails there, whose
+    # prune dropped a NaN amplitude.
+    reg = new_register([("s", ("u", "d")), ("t", ("0", "1"))])
+    nan = complex(math.nan, 0.0)
+    assert list(prune({(0, 0): nan, (0, 1): 1e-15 + 0j, (1, 0): 1.0 + 0j})) == [(0, 0), (1, 0)]
+    state = StateVector(reg, {(0, 0): nan, (0, 1): 1e-16 + 0j, (1, 0): 1.0 + 0j})
+    with pytest.raises(ImpossibleOutcomeError, match=r"^\{'s': 'u'\} has Born weight nan;"):
+        postselect(state, {"s": "u"})
+    with pytest.raises(ImpossibleOutcomeError, match=r"^partial outcome 'no-click' has Born weight nan;"):
+        apply_partial_outcome(state, "s", "d", 0.5, "no-click")
+
+
+def test_a_pointer_reading_drops_a_branch_at_the_prune_tolerance():
+    # Passes at 20aa2f2 too, whose pointer collapse already pruned first: the
+    # pointer readouts keep that rule now that it is _condition's.
+    reg = spin_register()
+    keys = ((0, 0), (0, 1), (1, 0))
+    block = np.array(
+        [
+            [0.5, 1.0j, 0.5, 0.125],
+            [1e-15, 1e-15j, 2e-15, 1e-16],  # kept at index 2 alone
+            [0.5j, 1e-15, 0.25, 0.5],  # pruned at index 1 alone
+        ],
+        dtype=complex,
+    )
+    joint = WeakJointState(reg, 4, -1.0, 1.0, keys, block)
+    ref = superpose(reg, [(0.6, {"spin": "up", "tag": "t0"}), (0.8j, {"spin": "down", "tag": "t0"})])
+    xs = grid_xs(4, -1.0, 1.0).tolist()
+    seen = collections.Counter()
+    for seed in range(40):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        reading, post = read_pointer(joint, ours)
+        want_reading, want = oracles.reference_read_pointer(joint, theirs)
+        assert reading == want_reading and repr(post.amplitudes) == repr(want.amplitudes)
+        j = xs.index(reading)
+        assert list(post.amplitudes) == [k for k, row in zip(keys, block) if abs(row[j]) > 1e-15]
+        assert post.norm() == pytest.approx(1.0, abs=1e-15)
+        batch = pointer_fidelities(joint, ref, seed, 1).tolist()
+        assert batch == [fidelity(post, ref)] == oracles.reference_pointer_fidelities(joint, ref, seed, 1)
+        seen[len(keys) - post.support()] += 1
+    assert seen[0] > 0 and seen[1] > 0 and seen[2] > 0, seen  # no, one and two branches dropped

@@ -13,6 +13,8 @@ from ketsim import (
     MeasurementRecord,
     SchmidtSpectrum,
     StateVector,
+    born_probabilities,
+    joint_probability,
     new_register,
     postselect,
     read_pointer,
@@ -93,6 +95,18 @@ def test_an_amplitude_whose_square_overflows_weighs_inf(case):
     with pytest.raises(error) as excinfo:
         call(1e200)
     assert str(excinfo.value).startswith(prefix.format(w=math.inf))
+
+
+def test_born_probabilities_weighs_an_overflowing_square_inf():
+    # Fails at 20aa2f2, whose per-label loop raised OverflowError here. The
+    # other label keeps its bits: a left fold in key order, as joint_probability's.
+    assert born_probabilities(StateVector(REG, {UP: 1e200 + 0j}), "s") == {"u": math.inf}
+    reg = new_register([("s", ("u", "d")), ("t", tuple("0123456789"))])
+    rng = np.random.default_rng(4)
+    finite = {(1, t): complex(*rng.normal(size=2)) for t in rng.permutation(10).tolist()}
+    got = born_probabilities(StateVector(reg, {**finite, (0, 3): 1e200 + 0j, (0, 5): 1.0 + 0j}), "s")
+    assert got == {"u": math.inf, "d": joint_probability(StateVector(reg, finite), {"s": "d"})}
+    assert got["d"] == born_probabilities(StateVector(reg, finite), "s")["d"]
 
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -89,3 +89,38 @@ def test_scenarios_import_only_public_engine_names():
         if name.startswith("_")
     ]
     assert private == []
+
+
+def _callers(path: Path, callee: str):
+    """Qualified name (module.Class.function) of each function in `path` whose
+    body, nested functions included, calls `callee` by name or as an attribute."""
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                calls = (n.func for n in ast.walk(child) if isinstance(n, ast.Call))
+                if not isinstance(child, ast.ClassDef) and any(
+                    callee in (getattr(f, "id", None), getattr(f, "attr", None)) for f in calls
+                ):
+                    yield name
+            yield from walk(child, name)
+
+    return walk(ast.parse(path.read_text()), path.stem)
+
+
+def test_only_the_listed_functions_condition_on_a_weight():
+    # Every readout conditions through measure._condition; a function that
+    # refuses or scales by a weight itself brings its own rule, so it must be
+    # added here on purpose.
+    package = Path(ketsim.__file__).parent
+    found = sorted(name for path in sorted(package.rglob("*.py")) for name in _callers(path, "conditioning_scale"))
+    assert found == [
+        "grid.GridWavefunction.normalized",
+        "grid.gaussian_packet",
+        "grid.window_project",
+        "measure._condition",
+        "measure._draw",
+        "measure.pointer_fidelities",
+    ]
