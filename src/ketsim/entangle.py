@@ -2,15 +2,15 @@
 
 These make "entanglement rose and then vanished" an assertable statement:
 scenarios compute a cut's entropy at each step of a timeline and check the
-rise and the return to zero.
+rise and the return to zero. A cut names one side, a tuple of subsystem
+names; the other side is the rest of the register.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,8 @@ EIG_NEG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Squared singular values across a bipartition, descending, summing to 1."""
+    """Squared singular values across a cut, descending, summing to 1;
+    iterating a spectrum yields them."""
 
     coefficients: tuple[float, ...]
 
@@ -38,54 +39,46 @@ class SchmidtSpectrum:
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"coefficients sum to {total!r}, not 1 within 1e-9")
 
-
-def _amplitude_matrix(state: StateVector, part_a: set[str]) -> np.ndarray:
-    """Dense amplitude matrix M[a, b] across the cut (part_a | the rest).
-
-    Each half keeps its subsystems in register order and enumerates their
-    joint labels lexicographically (first slowest).
-    """
-    reg = state.register
-    a_idx = [i for i, n in enumerate(reg.names) if n in part_a]
-    b_idx = [i for i, n in enumerate(reg.names) if n not in part_a]
-    a_pos = {c: r for r, c in enumerate(itertools.product(*(range(reg.subsystems[i].dim) for i in a_idx)))}
-    b_pos = {c: r for r, c in enumerate(itertools.product(*(range(reg.subsystems[i].dim) for i in b_idx)))}
-    m = np.zeros((len(a_pos), len(b_pos)), dtype=complex)
-    for key, amp in state.amplitudes.items():
-        m[a_pos[tuple(key[i] for i in a_idx)], b_pos[tuple(key[i] for i in b_idx)]] = amp
-    return m
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.coefficients)
 
 
-def _part(state: StateVector, part: Iterable[str]) -> set[str]:
-    """The names of one side of a cut, each checked against the register."""
+def _axes(state: StateVector, part: Iterable[str]) -> list[int]:
+    """The register positions of one side of a cut, in register order."""
     if isinstance(part, str):
         raise ValueError(f"a cut's side is a tuple of subsystem names, not the string {part!r}")
-    names = tuple(part)
-    for name in names:
-        state.register.index(name)
-    return set(names)
+    try:
+        names = tuple(part)
+    except TypeError:
+        raise ValueError(f"a cut's side is a tuple of subsystem names, not {part!r}") from None
+    return sorted({state.register.index(name) for name in names})
 
 
-def schmidt(state: StateVector, bipartition: tuple[Iterable[str], Iterable[str]]) -> SchmidtSpectrum:
-    """Schmidt spectrum across a full bipartition of the register."""
-    set_a = _part(state, bipartition[0])
-    set_b = _part(state, bipartition[1])
-    if set_a & set_b:
-        raise ValueError("bipartition halves overlap")
-    if set_a | set_b != set(state.register.names) or not set_a or not set_b:
-        raise ValueError("bipartition must split all subsystems into two nonempty halves")
-    m = _amplitude_matrix(state, set_a)
+def schmidt(state: StateVector, part_a: Iterable[str]) -> SchmidtSpectrum:
+    """Schmidt spectrum across the cut (part_a | the rest of the register).
+
+    The squared singular values of the dense state tensor with part_a's axes
+    moved first and reshaped across the cut. Each side keeps its subsystems
+    in register order, labels lexicographic and the first slowest.
+    """
+    dims = tuple(s.dim for s in state.register.subsystems)
+    a_axes = _axes(state, part_a)
+    if not 0 < len(a_axes) < len(dims):
+        raise ValueError("a cut needs subsystems on both sides")
+    tensor = np.zeros(dims, dtype=complex)
+    for key, amp in state.amplitudes.items():
+        tensor[key] = amp
+    b_axes = [i for i in range(len(dims)) if i not in a_axes]
+    m = tensor.transpose(a_axes + b_axes).reshape(math.prod(dims[i] for i in a_axes), -1)
     sv = np.linalg.svd(m, compute_uv=False)
     coeffs = sorted((float(s) ** 2 for s in sv if float(s) ** 2 >= EIG_FLOOR), reverse=True)
     return SchmidtSpectrum(tuple(coeffs))
 
 
-def entropy(arg) -> float:
-    """Von Neumann entropy in bits of a spectrum or of raw weights, each finite and in [-1e-10, 1 + 1e-9]."""
-    if isinstance(arg, SchmidtSpectrum):
-        lams = list(arg.coefficients)
-    else:
-        lams = [float(x) for x in arg]
+def entropy(weights: Iterable[float]) -> float:
+    """Von Neumann entropy in bits of weights (a SchmidtSpectrum's among them),
+    each finite and in [-1e-10, 1 + 1e-9]."""
+    lams = [float(x) for x in weights]
     for lam in lams:
         if lam < -EIG_NEG_TOL:
             raise ValueError(f"eigenvalue {lam!r} below -1e-10 is not float noise")
@@ -103,6 +96,5 @@ def entropy(arg) -> float:
 
 
 def cut_entropy(state: StateVector, part_a: Iterable[str]) -> float:
-    """Entropy in bits across the cut (part_a | everything else)."""
-    set_a = _part(state, part_a)
-    return entropy(schmidt(state, (set_a, set(state.register.names) - set_a)))
+    """Entropy in bits across the cut (part_a | the rest of the register)."""
+    return entropy(schmidt(state, part_a))

@@ -110,7 +110,7 @@ class Register:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"unknown subsystem {name!r}") from None
 
     def spec(self, name: str) -> SubsystemSpec:
@@ -120,7 +120,7 @@ class Register:
         si = self.index(name)
         try:
             return self._label_index[si][label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"subsystem {name!r} has no label {label!r}") from None
 
     def key(self, assignment: Mapping[str, str]) -> tuple[int, ...]:
@@ -137,10 +137,14 @@ class Register:
         register under the key.
 
         `build` must depend on nothing but the register and `args`. A build
-        that raises stores nothing.
+        that raises stores nothing, and a key that cannot be hashed is built
+        and not stored.
         """
         plans = self._plans
-        found = plans.get(key)
+        try:
+            found = plans.get(key)
+        except TypeError:
+            return key[0](self, *key[1:])
         if found is None:
             if len(plans) >= PLAN_MEMO_SIZE:
                 plans.clear()

@@ -232,7 +232,7 @@ def _run_hardy_ci(params, seed):
         rec = postselect(state, {"gamma": "none"})
     state = rec.post_state
 
-    spectrum = schmidt(state, (("electron",), ("positron", "gamma")))
+    spectrum = schmidt(state, ("electron",))
     s_bits = entropy(spectrum)
     checks.append(
         Check("p_joint_23", "abs", 0.0, joint_probability(state, {"electron": "arm2", "positron": "arm3"}), 1e-12,

@@ -117,7 +117,7 @@ def _run_atom_collision(params, seed):
     p_deflected = marg2.get("arm3d", 0.0) + marg2.get("arm3dd", 0.0)
     checks.append(Check("p_atom2_deflected", "abs", 0.5, p_deflected, 1e-12, "joint-Born oracle"))
 
-    spectrum = schmidt(state, (("atom1",), ("atom2",)))
+    spectrum = schmidt(state, ("atom1",))
     s_final = entropy(spectrum)
     checks.append(Check("schmidt_major", "abs", FINAL_SPECTRUM[0], spectrum.coefficients[0], 1e-12, "dense-SVD oracle"))
     checks.append(Check("schmidt_minor", "abs", FINAL_SPECTRUM[1], spectrum.coefficients[1], 1e-12, "dense-SVD oracle"))

@@ -328,7 +328,7 @@ def _run_zeno_ghost(params, seed):
 
     with guard("photon found in the middle"):
         found = project(state, "photon", "middle")
-    spectrum = schmidt(found.post_state, (("bombL",), ("bombR", "photon")))
+    spectrum = schmidt(found.post_state, ("bombL",))
     # A product state has a one-term spectrum: its second weight is zero.
     second = spectrum.coefficients[1] if len(spectrum.coefficients) > 1 else 0.0
     p_both_up = joint_probability(found.post_state, {"bombL": "z_up", "bombR": "z_up"})

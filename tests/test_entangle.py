@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ketsim import (
     SchmidtSpectrum,
+    StateVector,
     apply_rotation,
     cut_entropy,
     entropy,
@@ -38,27 +40,35 @@ def product_state():
 
 def test_bell_pair_diagnostics():
     state = bell_pair()
-    spec = schmidt(state, (("a",), ("b",)))
+    spec = schmidt(state, ("a",))
     assert spec.coefficients == pytest.approx((0.5, 0.5), abs=1e-12)
-    assert entropy(spec) == pytest.approx(1.0, abs=1e-12)
-    assert cut_entropy(state, ("a",)) == pytest.approx(1.0, abs=1e-12)
+    assert schmidt(state, ("b",)) == spec
+    assert tuple(spec) == spec.coefficients
+    assert entropy(spec) == entropy(spec.coefficients) == pytest.approx(1.0, abs=1e-12)
+    assert cut_entropy(state, ("a",)) == entropy(spec)
 
 
 def test_product_state_diagnostics():
     state = product_state()
-    spec = schmidt(state, (("a",), ("b",)))
+    spec = schmidt(state, ("a",))
     assert spec.coefficients == pytest.approx((1.0,), abs=1e-12)
+    assert entropy(spec) == 0.0
     assert cut_entropy(state, ("a",)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_schmidt_validation():
+    # one side names the cut; it must leave subsystems on both sides
     state = bell_pair()
-    with pytest.raises(ValueError):
-        schmidt(state, (("a",), ("a", "b")))
-    with pytest.raises(ValueError):
-        schmidt(state, (("a",), ()))
-    with pytest.raises(ValueError):
-        cut_entropy(state, ("nope",))
+    for side in ((), ("a", "b"), ("b", "a", "b")):
+        for cut in (schmidt, cut_entropy):
+            with pytest.raises(ValueError, match="^a cut needs subsystems on both sides$"):
+                cut(state, side)
+    with pytest.raises(ValueError, match="^unknown subsystem 'nope'$"):
+        cut_entropy(state, ("a", "nope"))
+    for side in (None, 3):
+        with pytest.raises(ValueError, match=f"^a cut's side is a tuple of subsystem names, not {side!r}$"):
+            schmidt(state, side)
+    assert schmidt(state, ("a", "a")) == schmidt(state, ("a",))
 
 
 def test_cuts_refuse_a_bare_string_and_name_an_unknown_subsystem():
@@ -67,19 +77,20 @@ def test_cuts_refuse_a_bare_string_and_name_an_unknown_subsystem():
     with pytest.raises(ValueError, match="tuple of subsystem names"):
         cut_entropy(state, "electron")
     with pytest.raises(ValueError, match="tuple of subsystem names"):
-        schmidt(state, ("electron", ("positron",)))
+        schmidt(state, "positron")
     with pytest.raises(ValueError, match="unknown subsystem 'muon'"):
         cut_entropy(state, ("muon",))
     with pytest.raises(ValueError, match="unknown subsystem 'muon'"):
-        schmidt(state, (("electron",), ("muon",)))
+        schmidt(state, ("electron", "muon"))
 
 
 def test_schmidt_ignores_the_order_names_are_given_in():
-    # Each half is laid out in register order, whatever order the caller names it in.
+    # Each side is laid out in register order, whatever order the caller names it in.
     reg = new_register([("a", ("0", "1", "2")), ("b", ("x", "y")), ("c", ("q", "r"))])
     state = oracles.random_state(reg, np.random.default_rng(7))
-    assert schmidt(state, (("b", "a"), ("c",))) == schmidt(state, (("a", "b"), ("c",)))
-    assert schmidt(state, (("c", "a"), ("b",))) == schmidt(state, (("a", "c"), ("b",)))
+    assert schmidt(state, ("b", "a")) == schmidt(state, ("a", "b"))
+    assert schmidt(state, ("c", "a")) == schmidt(state, ("a", "c"))
+    assert schmidt(state, iter(("c", "a"))) == schmidt(state, ["a", "c"])
     assert cut_entropy(state, ("c", "a")) == cut_entropy(state, ("a", "c"))
 
 
@@ -132,7 +143,7 @@ def test_schmidt_matches_dense_svd_oracle(seed):
     rng = np.random.default_rng(seed)
     state = oracles.random_state(reg, rng)
     for part in (("a",), ("b",), ("c",), ("a", "c")):
-        got = schmidt(state, (part, tuple(n for n in reg.names if n not in part)))
+        got = schmidt(state, part)
         want = oracles.schmidt_dense(state, part)
         assert len(got.coefficients) == len(want)
         assert got.coefficients == pytest.approx(want, abs=1e-10)
@@ -146,3 +157,37 @@ def test_cut_entropy_is_symmetric_across_the_cut(seed):
     state = oracles.random_state(reg, rng)
     assert cut_entropy(state, ("a",)) == pytest.approx(cut_entropy(state, ("b", "c")), abs=1e-9)
     assert cut_entropy(state, ("a", "b")) == pytest.approx(cut_entropy(state, ("c",)), abs=1e-9)
+
+
+def itertools_matrix(state, part_a):
+    """The amplitude matrix across (part_a | the rest), each side in register
+    order with its joint labels enumerated by itertools.product."""
+    reg = state.register
+    a_idx = [i for i, n in enumerate(reg.names) if n in part_a]
+    b_idx = [i for i, n in enumerate(reg.names) if n not in part_a]
+    a_pos = {c: r for r, c in enumerate(itertools.product(*(range(reg.subsystems[i].dim) for i in a_idx)))}
+    b_pos = {c: r for r, c in enumerate(itertools.product(*(range(reg.subsystems[i].dim) for i in b_idx)))}
+    m = np.zeros((len(a_pos), len(b_pos)), dtype=complex)
+    for key, amp in state.amplitudes.items():
+        m[a_pos[tuple(key[i] for i in a_idx)], b_pos[tuple(key[i] for i in b_idx)]] = amp
+    return m
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_schmidt_is_bit_for_bit_the_svd_of_the_enumerated_matrix(seed):
+    # The dense tensor, moved and reshaped across the cut, is the matrix that
+    # enumerating each side's labels builds, so the SVD returns its bits.
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 5, size=rng.integers(2, 6))
+    reg = new_register([(f"s{i}", tuple(f"l{j}" for j in range(d))) for i, d in enumerate(dims)])
+    state = oracles.random_state(reg, rng)
+    if seed % 2:
+        keys = list(state.amplitudes)
+        kept = rng.permutation(len(keys))[: rng.integers(1, len(keys) + 1)]
+        state = StateVector(reg, {keys[i]: state.amplitudes[keys[i]] for i in kept}).normalized()
+    for k in range(1, len(dims)):
+        for part in itertools.combinations(reg.names, k):
+            sv = np.linalg.svd(itertools_matrix(state, set(part)), compute_uv=False)
+            want = sorted((float(s) ** 2 for s in sv if float(s) ** 2 >= 1e-12), reverse=True)
+            got = schmidt(state, part).coefficients
+            assert [c.hex() for c in got] == [c.hex() for c in want], part

@@ -14,6 +14,8 @@ from ketsim import (
     ImpossibleOutcomeError,
     OpLog,
     ParameterError,
+    WeakParams,
+    amplitude,
     apply_basis_change,
     apply_partial_outcome,
     apply_rotation,
@@ -21,12 +23,16 @@ from ketsim import (
     born_probabilities,
     controlled_phase,
     controlled_relabel,
+    cut_entropy,
     joint_probability,
     new_register,
     postselect,
     postselect_out,
     project,
+    recombine_probability,
+    schmidt,
     superpose,
+    weak_measure,
 )
 from ketsim import register as register_module
 from ketsim.register import StateVector
@@ -212,13 +218,30 @@ INVALID = [
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "a"})]), 0),
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "a", "s": "z_up", "q": "a"})]), 0),
     (ValueError, lambda st: superpose(st.register, [(1.0, {"m": "zz", "s": "z_up"})]), 0),
-    # an unhashable name or label cannot key a plan
-    (TypeError, lambda st: project(st, "m", ["a"]), 0),
-    (TypeError, lambda st: joint_probability(st, {"m": ["a"]}), 0),
-    (TypeError, lambda st: born_probabilities(st, ["m"]), 0),
-    (TypeError, lambda st: apply_rotation(st, "s", (["z_up"], "z_down"), 0.3), 0),
-    (TypeError, lambda st: superpose(st.register, [(1.0, {"s": "z_up", "m": ["a"]})]), 0),
 ]
+
+# An unhashable name or label cannot key a plan: it is built, not stored,
+# and refused by name.
+UNHASHABLE = [
+    (lambda st: project(st, "m", ["a"]), 0),
+    (lambda st: joint_probability(st, {"m": ["a"]}), 0),
+    (lambda st: born_probabilities(st, ["m"]), 0),
+    (lambda st: apply_rotation(st, "s", (["z_up"], "z_down"), 0.3), 0),
+    (lambda st: superpose(st.register, [(1.0, {"s": "z_up", "m": ["a"]})]), 0),
+    (lambda st: cut_entropy(st, (["s"],)), 0),
+    (lambda st: schmidt(st, (["m"],)), 0),
+    (lambda st: postselect(st, {"m": ["a"]}), 0),
+    (lambda st: postselect_out(st, {"s": ["z_up"]}), 0),
+    (lambda st: amplitude(st, {"s": "z_up", "m": ["a"]}), 0),
+    (lambda st: apply_split(st, "s", ["z_up"], ("x_plus", "x_minus")), 0),
+    (lambda st: apply_rotation(st, ["s"], ("z_up", "z_down"), 0.3), 0),
+    (lambda st: controlled_phase(st, {"m": ["a"]}, 0.1), 0),
+    (lambda st: controlled_relabel(st, {"s": "z_up"}, [({"m": ["a"]}, {"m": "b"})]), 1),
+    (lambda st: apply_partial_outcome(st, "m", ["a"], 0.3, "click"), 0),
+    (lambda st: weak_measure(st, ["s"], {"z_up": 1.0, "z_down": -1.0}, WeakParams(1.0, 1.0)), 0),
+    (lambda st: recombine_probability(st, "s", ("x_plus", "x_minus"), ["z_up"]), 0),
+]
+INVALID += [(ValueError, call, kept) for call, kept in UNHASHABLE]
 
 
 @pytest.mark.parametrize("error, call, kept", INVALID)
@@ -232,6 +255,13 @@ def test_an_invalid_argument_raises_on_every_call_and_leaves_no_plan(error, call
     # what stays is the plan of a valid argument, as a fresh build gives it
     for key, plan in reg._plans.items():
         assert key[0](fresh(), *key[1:]) == plan
+
+
+@pytest.mark.parametrize("call", [call for call, _ in UNHASHABLE])
+def test_an_unhashable_name_or_label_is_refused_by_name(call):
+    state = StateVector(fresh(), {(0, 0): 0.6 + 0j, (1, 1): 0.8j})
+    with pytest.raises(ValueError, match=r"^(unknown subsystem \['|subsystem '\w' has no label \[')"):
+        call(state)
 
 
 def test_state_checks_run_on_every_call_after_a_hit():

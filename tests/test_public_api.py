@@ -124,3 +124,24 @@ def test_only_the_listed_functions_condition_on_a_weight():
         "measure._draw",
         "measure.pointer_fidelities",
     ]
+
+
+def _unused_imports(path: Path):
+    """Each name that `path` imports and never reads; a name listed in the
+    module's __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(ketsim.__file__).parent
+    assert [unused for path in sorted(package.rglob("*.py")) for unused in _unused_imports(path)] == []
